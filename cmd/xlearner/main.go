@@ -31,9 +31,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/teacher"
 	"repro/internal/xmark"
-	"repro/internal/xmldoc"
 	"repro/internal/xmp"
-	"repro/internal/xq"
 )
 
 func all() []*scenario.Scenario {
@@ -216,20 +214,13 @@ func report(s *scenario.Scenario, res *scenario.Result, xquery, showResult bool)
 	}
 }
 
-// runSession runs the scenario directly (instead of scenario.Run) when
-// recording or replaying is requested, so the teacher can be wrapped.
+// runSession runs the scenario through scenario.Prepare, so one
+// session-private bundle backs the teacher, the engine and the
+// verification; when recording or replaying is requested the session's
+// teacher is wrapped before learning.
 func runSession(ctx context.Context, s *scenario.Scenario, opts []core.Option, pol teacher.Policy, record, replayFrom string) (*scenario.Result, error) {
-	if record == "" && replayFrom == "" {
-		return scenario.Run(ctx, s, pol, opts...)
-	}
-	doc := s.Doc()
-	truth := s.Truth()
-	sim := teacher.New(doc, truth)
-	sim.Pol = pol
-	sim.Boxes = s.Boxes
-	sim.Orders = s.Orders
-
-	var t core.Teacher = sim
+	p := scenario.Prepare(s, pol, opts...)
+	var t core.Teacher = p.Sim
 	var rec *replay.Recorder
 	if replayFrom != "" {
 		f, err := os.Open(replayFrom)
@@ -241,7 +232,7 @@ func runSession(ctx context.Context, s *scenario.Scenario, opts []core.Option, p
 		if err != nil {
 			return nil, err
 		}
-		rep := replay.NewReplayer(doc, log, sim)
+		rep := replay.NewReplayer(p.Doc, log, p.Sim)
 		t = rep
 		defer func() {
 			if rep.Misses > 0 {
@@ -252,11 +243,11 @@ func runSession(ctx context.Context, s *scenario.Scenario, opts []core.Option, p
 		}()
 	}
 	if record != "" {
-		rec = replay.NewRecorder(doc, t)
+		rec = replay.NewRecorder(p.Doc, t)
 		t = rec
 	}
-	sess := core.New(doc, t, opts...)
-	tree, stats, err := sess.Learn(ctx, &core.TaskSpec{Target: s.Target, Drops: s.Drops})
+	p.Session.Engine().Teacher = t
+	res, err := p.Learn(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -272,21 +263,5 @@ func runSession(ctx context.Context, s *scenario.Scenario, opts []core.Option, p
 		f.Close()
 		fmt.Printf("recorded %d interactions to %s\n", len(rec.Log.Entries), record)
 	}
-	learnedDoc, err := xq.NewEvaluator(doc).Result(ctx, tree)
-	if err != nil {
-		return nil, err
-	}
-	truthDoc, err := xq.NewEvaluator(doc).Result(ctx, truth)
-	if err != nil {
-		return nil, err
-	}
-	res := &scenario.Result{
-		Scenario:   s,
-		Tree:       tree,
-		Stats:      stats,
-		LearnedXML: xmldoc.XMLString(learnedDoc.DocNode()),
-		TruthXML:   xmldoc.XMLString(truthDoc.DocNode()),
-	}
-	res.Verified = res.LearnedXML == res.TruthXML
 	return res, nil
 }

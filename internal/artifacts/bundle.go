@@ -18,7 +18,9 @@ import (
 // the canonical ground-truth tree, and the cross-session memo of the
 // teacher's pinned extents. All four are safe for concurrent readers;
 // Extents is internally synchronized and is the only field with
-// interior mutability.
+// interior mutability. A store publishes bundles under their Hash; a
+// bundle built by NewBundle is private to one session and has an empty
+// Hash.
 //
 // Sharing discipline: sessions must use Doc (not a re-parse) so node
 // identities agree, and teachers sharing Extents must evaluate Truth
@@ -47,7 +49,8 @@ type Bundle struct {
 	// document's labels against one intern instead of re-interning them
 	// per fragment learner.
 	Syms *angluin.SymbolTable
-	// Hash is the store key the bundle was published under.
+	// Hash is the store key the bundle was published under, empty for a
+	// session-private bundle.
 	Hash string
 }
 
@@ -88,20 +91,10 @@ func (s *Store) Bundle(ctx context.Context, key string, doc func() (*xmldoc.Docu
 		if err != nil {
 			return nil, 0, fmt.Errorf("parse truth query: %w", err)
 		}
-		ix := s.IndexFor(d)
-		plan := xq.NewTreePlan(ix, t)
 		compiled = true
-		b := &Bundle{
-			Doc:     d,
-			Index:   ix,
-			Truth:   t,
-			Extents: xq.NewSharedExtents(),
-			Plan:    plan,
-			Graph:   datagraph.New(d, datagraph.DefaultConfig()),
-			Syms:    angluin.NewSymbolTable(d.Alphabet()...),
-			Hash:    key,
-		}
-		return b, approxBundleBytes(d) + int64(plan.ApproxBytes()), nil
+		b := newBundle(s.IndexFor(d), t)
+		b.Hash = key
+		return b, approxBundleBytes(d) + int64(b.Plan.ApproxBytes()), nil
 	})
 	if err != nil {
 		return nil, err
@@ -121,6 +114,30 @@ func (s *Store) Bundle(ctx context.Context, key string, doc func() (*xmldoc.Docu
 		return nil, fmt.Errorf("artifacts: key %.12s… holds %T, not a bundle", key, v)
 	}
 	return b, nil
+}
+
+// NewBundle builds a session-private bundle over doc and truth: a fresh
+// index, the compiled truth plan, the default-config data graph, the
+// seeded symbol table and an empty extent memo, with Hash left empty.
+// It is what a session prepared without a store shares between its
+// teacher, its engine and its verification, so the document is indexed
+// once per session rather than once per consumer.
+func NewBundle(doc *xmldoc.Document, truth *xq.Tree) *Bundle {
+	return newBundle(xq.NewIndex(doc), truth)
+}
+
+// newBundle builds every artifact of a bundle over an existing index.
+func newBundle(ix *xq.Index, truth *xq.Tree) *Bundle {
+	d := ix.Doc()
+	return &Bundle{
+		Doc:     d,
+		Index:   ix,
+		Truth:   truth,
+		Extents: xq.NewSharedExtents(),
+		Plan:    xq.NewTreePlan(ix, truth),
+		Graph:   datagraph.New(d, datagraph.DefaultConfig()),
+		Syms:    angluin.NewSymbolTable(d.Alphabet()...),
+	}
 }
 
 // indexOnce is the once-per-document index slot behind IndexFor.

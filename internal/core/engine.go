@@ -16,14 +16,14 @@ import (
 // Engine is the learning machinery of one XLearner session over one
 // source document.
 //
-// An Engine is NOT goroutine-safe: the path index, the evaluator's DFA
-// cache, and the realized-path DFA are mutated during Learn. It shares
-// no unsynchronized mutable state with other Engine instances, though —
-// xmldoc documents are read-only after parsing, every cache here is
-// per-instance, and the shared artifacts an engine may adopt (index,
-// data graph, plan) are either immutable or internally synchronized —
-// so independent Engines (one per Session) may run concurrently over
-// the same or different documents.
+// An Engine is NOT goroutine-safe: the evaluator's DFA and extent
+// caches are mutated during Learn. It shares no unsynchronized mutable
+// state with other Engine instances, though — xmldoc documents are
+// read-only after parsing, every cache here is per-instance, and the
+// shared artifacts an engine may adopt (index, data graph, plan) are
+// either immutable or internally synchronized — so independent Engines
+// (one per Session) may run concurrently over the same or different
+// documents.
 type Engine struct {
 	Source  *xmldoc.Document
 	Teacher Teacher
@@ -43,8 +43,6 @@ type Engine struct {
 	pathIndex  map[string][]*xmldoc.Node
 	pathKeys   []string
 	pathLabels map[string][]string
-	// realized caches the DFA of the instance's realized paths.
-	realized *pathre.DFA
 
 	// Batched-protocol state (see batched.go). batch is the teacher's
 	// batch form, set only when Opts.Batched and the teacher implements
@@ -85,7 +83,6 @@ func newEngine(source *xmldoc.Document, teacher Teacher, opts Options) *Engine {
 		Source:     source,
 		Teacher:    teacher,
 		Opts:       opts,
-		eval:       xq.NewEvaluator(source),
 		alphabet:   source.Alphabet(),
 		pathIndex:  map[string][]*xmldoc.Node{},
 		pathLabels: map[string][]string{},
@@ -110,34 +107,21 @@ func newEngine(source *xmldoc.Document, teacher Teacher, opts Options) *Engine {
 	if e.Opts.MaxEQ <= 0 {
 		e.Opts.MaxEQ = 200
 	}
-	if ix := opts.SharedIndex; ix != nil && ix.Doc() == source {
-		// Adopt the shared, immutable index: the evaluator skips its
-		// lazy index build and the root-path table comes straight from
-		// the index's walk, which visits nodes in the same order as
-		// source.Walk (attributes first, then children). The node
-		// slices stay index-owned; the full-slice expression keeps a
-		// stray append from ever writing into them.
-		e.eval = xq.NewEvaluatorWithIndex(ix)
-		ix.RootPaths(func(labels []string, nodes []*xmldoc.Node) {
-			k := pathKey(labels)
-			e.pathKeys = append(e.pathKeys, k)
-			e.pathLabels[k] = labels
-			e.pathIndex[k] = nodes[:len(nodes):len(nodes)]
-		})
-	} else {
-		source.Walk(func(n *xmldoc.Node) bool {
-			if n.Kind == xmldoc.ElementNode || n.Kind == xmldoc.AttributeNode {
-				w := n.Path()
-				k := pathKey(w)
-				if _, ok := e.pathIndex[k]; !ok {
-					e.pathKeys = append(e.pathKeys, k)
-					e.pathLabels[k] = w
-				}
-				e.pathIndex[k] = append(e.pathIndex[k], n)
-			}
-			return true
-		})
+	ix := opts.SharedIndex
+	if ix == nil || ix.Doc() != source {
+		ix = xq.NewIndex(source)
 	}
+	// One index serves the evaluator and the root-path table, whose
+	// walk visits nodes in document order (attributes first, then
+	// children). The node slices stay index-owned; the full-slice
+	// expression keeps a stray append from ever writing into them.
+	e.eval = xq.NewEvaluatorWithIndex(ix)
+	ix.RootPaths(func(labels []string, nodes []*xmldoc.Node) {
+		k := pathKey(labels)
+		e.pathKeys = append(e.pathKeys, k)
+		e.pathLabels[k] = labels
+		e.pathIndex[k] = nodes[:len(nodes):len(nodes)]
+	})
 	sort.Strings(e.pathKeys)
 	return e
 }
@@ -668,20 +652,10 @@ func (e *Engine) minimizeConds(ctx context.Context, tree *xq.Tree, f *fragment, 
 // unconstrained region; the intersection is exactly the set of paths
 // the user actually confirmed, and it renders as a readable expression.
 func (e *Engine) trimDFA(d *pathre.DFA) *pathre.DFA {
-	if e.realized == nil {
-		if ix := e.Opts.SharedIndex; ix != nil && ix.Doc() == e.Source {
-			// The engine's path table came from this index's walk, so the
-			// index's cached build is word-for-word the same construction.
-			e.realized = ix.RealizedPathsDFA()
-		} else {
-			words := make([][]string, 0, len(e.pathKeys))
-			for _, k := range e.pathKeys {
-				words = append(words, e.pathLabels[k])
-			}
-			e.realized = pathre.FromStrings(words, e.alphabet)
-		}
-	}
-	return d.Intersect(e.realized)
+	// The engine's path table came from this index's walk, so the
+	// index's cached realized-path DFA is word-for-word the same
+	// construction over the same sorted keys.
+	return d.Intersect(e.eval.Index().RealizedPathsDFA())
 }
 
 func sameNodes(a, b []*xmldoc.Node) bool {

@@ -118,8 +118,22 @@ func runningExample(t *testing.T, opts core.Options, pol teacher.Policy) (*xq.Tr
 func runningExampleWith(t *testing.T, opts core.Options, pol teacher.Policy, mut func(*core.Engine)) (*xq.Tree, *core.Stats, *teacher.Sim, *xmldoc.Document) {
 	t.Helper()
 	doc := xmldoc.MustParse(sourceXML)
-	truth := truthQ1()
-	sim := teacher.New(doc, truth)
+	sim := runningExampleTeacher(doc, pol)
+	eng := core.NewEngine(doc, sim, opts)
+	if mut != nil {
+		mut(eng)
+	}
+	tree, stats, err := eng.Learn(context.Background(), runningExampleSpec())
+	if err != nil {
+		t.Fatalf("Learn: %v", err)
+	}
+	return tree, stats, sim, doc
+}
+
+// runningExampleTeacher is the simulated user of the running example
+// over doc, answering from truthQ1.
+func runningExampleTeacher(doc *xmldoc.Document, pol teacher.Policy) *teacher.Sim {
+	sim := teacher.New(doc, truthQ1())
 	sim.Pol = pol
 	sim.Boxes = map[string][]core.BoxEntry{
 		// Learning the item fragment needs the <300 price condition: the
@@ -137,11 +151,12 @@ func runningExampleWith(t *testing.T, opts core.Options, pol teacher.Policy, mut
 			Op: xq.OpLt, Const: "300",
 		}},
 	}
-	eng := core.NewEngine(doc, sim, opts)
-	if mut != nil {
-		mut(eng)
-	}
-	spec := &core.TaskSpec{
+	return sim
+}
+
+// runningExampleSpec is the running example's target schema and drops.
+func runningExampleSpec() *core.TaskSpec {
+	return &core.TaskSpec{
 		Target: dtd.MustParse(targetDTD),
 		Drops: []core.Drop{
 			{Path: "i_list/category/cname", Var: "cn", AnchorVar: "c",
@@ -152,11 +167,6 @@ func runningExampleWith(t *testing.T, opts core.Options, pol teacher.Policy, mut
 				Select: teacher.SelectByText("description", "Best Seller")},
 		},
 	}
-	tree, stats, err := eng.Learn(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("Learn: %v", err)
-	}
-	return tree, stats, sim, doc
 }
 
 // resultEqual compares the evaluated results of two trees on a document.

@@ -91,10 +91,11 @@ func WithRelativize(on bool) Option {
 
 // WithSharedIndex hands the session a pre-built, immutable evaluator
 // index over its source document (typically resolved through an
-// internal/artifacts store). The engine then skips its own document
-// walk and index build; sessions never mutate the index, so one index
-// may back any number of concurrent sessions. An index over a different
-// document instance than the session's source is ignored.
+// internal/artifacts store). The engine then takes its evaluator and
+// root-path table from it instead of building an index of its own;
+// sessions never mutate the index, so one index may back any number of
+// concurrent sessions. An index over a different document instance than
+// the session's source is ignored.
 func WithSharedIndex(ix *xq.Index) Option {
 	return func(o *Options) { o.SharedIndex = ix }
 }

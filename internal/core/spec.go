@@ -179,10 +179,10 @@ type Options struct {
 	UseKVLearner bool
 	// SharedIndex, when set and built over the session's source
 	// document, lets the engine adopt a pre-built evaluator index and
-	// root-path table instead of walking the document itself. The index
-	// is immutable and may be shared by any number of concurrent
-	// sessions (see internal/artifacts); an index over a different
-	// document instance is ignored.
+	// root-path table instead of building its own index. The index is
+	// immutable and may be shared by any number of concurrent sessions
+	// (see internal/artifacts); an index over a different document
+	// instance is ignored.
 	SharedIndex *xq.Index
 	// SharedGraph, when set, built over the session's source document,
 	// and built with the session's Graph config, lets the engine adopt a

@@ -54,40 +54,31 @@ type Result struct {
 	TruthXML   string
 }
 
-// Prepared is a scenario instantiated for one run: a fresh document,
-// simulated teacher, and core session. Callers that need the session
-// handle before learning — to cancel it, to poll its state, to read
-// cache statistics afterwards — prepare first and Learn when ready;
-// plain callers use Run. Distinct Prepared values share nothing
-// mutable.
+// Prepared is a scenario instantiated for one run: a document,
+// simulated teacher, and core session over one artifact bundle.
+// Callers that need the session handle before learning — to cancel it,
+// to poll its state, to read cache statistics afterwards — prepare
+// first and Learn when ready; plain callers use Run. Distinct Prepared
+// values share nothing mutable beyond the bundle's internally
+// synchronized caches.
 type Prepared struct {
 	Scenario *Scenario
 	Doc      *xmldoc.Document
 	Truth    *xq.Tree
 	Sim      *teacher.Sim
 	Session  *core.Session
-	// Index is the shared evaluator index over Doc when the run was
-	// prepared through an artifact store (nil on the plain path); the
-	// verification evaluators adopt it instead of rebuilding.
+	// Index is the bundle's evaluator index over Doc — store-published
+	// or private to this run — shared by the teacher, the engine and the
+	// verification evaluators. It is never nil.
 	Index *xq.Index
 }
 
 // Prepare instantiates the scenario with the counterexample policy and
-// engine options.
+// engine options over a session-private bundle (artifacts.NewBundle),
+// so the run indexes its document once and shares the index, plan,
+// data graph and symbol table between teacher, engine and verification.
 func Prepare(s *Scenario, pol teacher.Policy, opts ...core.Option) *Prepared {
-	doc := s.Doc()
-	truth := s.Truth()
-	sim := teacher.New(doc, truth)
-	sim.Pol = pol
-	sim.Boxes = s.Boxes
-	sim.Orders = s.Orders
-	return &Prepared{
-		Scenario: s,
-		Doc:      doc,
-		Truth:    truth,
-		Sim:      sim,
-		Session:  core.New(doc, sim, opts...),
-	}
+	return PrepareBundle(s, artifacts.NewBundle(s.Doc(), s.Truth()), pol, opts...)
 }
 
 // SetTeacherLatency simulates a slow teacher for this run: every
@@ -96,15 +87,6 @@ func Prepare(s *Scenario, pol teacher.Policy, opts ...core.Option) *Prepared {
 // Prepare and Learn; combined with core.WithBatchedProtocol it is the
 // benchmark knob for the batched protocol's wall-clock win.
 func (p *Prepared) SetTeacherLatency(d time.Duration) { p.Sim.Latency = d }
-
-// evaluator builds a verification evaluator over the run's document,
-// adopting the shared index when the run was prepared through a store.
-func (p *Prepared) evaluator() *xq.Evaluator {
-	if p.Index != nil {
-		return xq.NewEvaluatorWithIndex(p.Index)
-	}
-	return xq.NewEvaluator(p.Doc)
-}
 
 // Learn runs the prepared session's dialogue and verifies the learned
 // query against the ground truth; the context aborts the session when
@@ -115,11 +97,11 @@ func (p *Prepared) Learn(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.ID, err)
 	}
-	learnedDoc, err := p.evaluator().Result(ctx, tree)
+	learnedDoc, err := xq.NewEvaluatorWithIndex(p.Index).Result(ctx, tree)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: evaluate learned query: %w", s.ID, err)
 	}
-	truthDoc, err := p.evaluator().Result(ctx, p.Truth)
+	truthDoc, err := xq.NewEvaluatorWithIndex(p.Index).Result(ctx, p.Truth)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: evaluate ground truth: %w", s.ID, err)
 	}
@@ -136,9 +118,9 @@ func (p *Prepared) Learn(ctx context.Context) (*Result, error) {
 
 // Run learns the scenario with the given counterexample policy and
 // engine options (defaults when none are given) and verifies the
-// outcome. Each call builds a fresh document, teacher, and session, so
-// concurrent Runs share nothing mutable; the context aborts the session
-// when canceled.
+// outcome. Each call prepares over a fresh session-private bundle (see
+// Prepare), so concurrent Runs share nothing mutable; the context
+// aborts the session when canceled.
 func Run(ctx context.Context, s *Scenario, pol teacher.Policy, opts ...core.Option) (*Result, error) {
 	return Prepare(s, pol, opts...).Learn(ctx)
 }

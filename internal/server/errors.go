@@ -36,6 +36,9 @@ var (
 	// ErrUnknownScenario: the create request named a scenario id outside
 	// the configured registry.
 	ErrUnknownScenario = errors.New("server: unknown scenario")
+	// ErrBodyTooLarge: the request body exceeded the endpoint's size
+	// cap (see maxCreateBody).
+	ErrBodyTooLarge = errors.New("server: request body too large")
 )
 
 // statusTable maps taxonomy sentinels to HTTP statuses, checked in
@@ -45,6 +48,7 @@ var statusTable = []struct {
 	status int
 }{
 	{ErrBadRequest, http.StatusBadRequest},
+	{ErrBodyTooLarge, http.StatusRequestEntityTooLarge},
 	{ErrUnknownScenario, http.StatusNotFound},
 	{core.ErrSessionNotFound, http.StatusNotFound},
 	{core.ErrSessionNotDone, http.StatusConflict},

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -59,9 +60,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.metrics.wire(s.mgr.byState(), api.NewArtifactStoreV1(s.store.Stats())))
 }
 
+// maxCreateBody caps a create-session request body. An uploaded spec
+// carries its whole source document, so the cap bounds what one request
+// can make the daemon buffer; stock XMark uploads are far below it.
+const maxCreateBody = 32 << 20
+
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req api.CreateSessionV1
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCreateBody)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, fmt.Errorf("%w: over %d bytes", ErrBodyTooLarge, tooLarge.Limit))
+			return
+		}
 		writeError(w, fmt.Errorf("%w: decode body: %w", ErrBadRequest, err))
 		return
 	}

@@ -10,6 +10,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -259,6 +261,62 @@ func TestCreateRejections(t *testing.T) {
 			t.Errorf("%s: envelope %+v", c.name, apiErr)
 		}
 	}
+}
+
+// TestCreateBodyCap sends a create body one byte over maxCreateBody:
+// the daemon answers 413 with the JSON error envelope, and every
+// goroutine serving the request exits afterwards.
+func TestCreateBodyCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	before := runtime.NumGoroutine()
+
+	head, tail := `{"scenario":"`, `"}`
+	pad := maxCreateBody + 1 - len(head) - len(tail)
+	body := io.MultiReader(strings.NewReader(head),
+		io.LimitReader(repeatByte('a'), int64(pad)), strings.NewReader(tail))
+	req, err := http.NewRequestWithContext(context.Background(), http.MethodPost, ts.URL+"/v1/sessions", body)
+	if err != nil {
+		t.Fatalf("new request: %v", err)
+	}
+	req.ContentLength = maxCreateBody + 1
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("post: %v", err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("read body: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", resp.StatusCode, raw)
+	}
+	var apiErr api.ErrorV1
+	if err := json.Unmarshal(raw, &apiErr); err != nil {
+		t.Fatalf("decode error envelope %q: %v", raw, err)
+	}
+	if apiErr.Status != http.StatusRequestEntityTooLarge || apiErr.Error == "" {
+		t.Fatalf("envelope %+v", apiErr)
+	}
+
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines did not return to baseline: %d now vs %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// repeatByte is an endless reader of one byte value.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
 }
 
 // blockingLearn substitutes the manager's learn function with one that
