@@ -602,7 +602,7 @@ func (e *Engine) minimizeConds(ctx context.Context, tree *xq.Tree, f *fragment, 
 	}
 	extents := func(ps []*xq.Pred) ([][]*xmldoc.Node, error) {
 		f.xqAnchor.Where = ps
-		// The trial mutates a tree the evaluator has memoized extents
+		// The trial mutates a tree the evaluator has compiled plans
 		// for; drop them so every trial is computed against its own
 		// predicate set.
 		e.eval.InvalidateExtents()

@@ -16,10 +16,11 @@ import (
 // identities, simple-path backing arrays that are never mutated after
 // parse), candidate prefilters are verified by the unchanged predicate
 // code afterwards, and index-gathered node sets are re-sorted into the
-// exact walk order the naive enumeration produces. The one cache that
-// depends on mutable state — the extent memo, which sees the query
-// tree's where clauses — has an explicit invalidation hook
-// (InvalidateExtents) that tree-mutating callers must use.
+// exact walk order the naive enumeration produces. The one
+// evaluator-local state that depends on the query tree — compiled
+// plans (plan.go), which bake in its where clauses — has an explicit
+// invalidation hook (InvalidateExtents) that tree-mutating callers
+// must use.
 //
 // Determinism guarantee: no map iteration order reaches any output;
 // fingerprints sort their components and index lookups re-sort by
@@ -33,7 +34,6 @@ const (
 	// relayIndexMinSize gates the equality-join index: relay scans over
 	// fewer candidates are cheaper to run than to index.
 	relayIndexMinSize = 8
-	extentCacheMax    = 1 << 14
 	pathCacheMax      = 1 << 15
 	simpleCacheMax    = 1 << 17
 )
@@ -76,9 +76,9 @@ type relayKey struct {
 }
 
 // fpPool recycles the byte buffers that pinned-environment fingerprints
-// are rendered into: one Get/Put pair per Extent call, shared across
-// evaluators (fingerprinting also happens on the cross-session shared
-// extent store's lookup path).
+// are rendered into: one Get/Put pair per Extent call on an evaluator
+// with a SharedExtents store attached, the only place fingerprints key
+// anything.
 var fpPool = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
 
 // putFP returns a fingerprint buffer to the pool, keeping whatever
@@ -126,8 +126,6 @@ func (e *Evaluator) SetAcceleration(on bool) {
 		e.valueCache = nil
 		e.valueSet = nil
 		e.relayIdx = nil
-		e.extents = nil
-		e.extentCount = 0
 		// Compiled plans are part of the acceleration layer too; the
 		// shared plan set stays attached (it is a cross-session artifact,
 		// like the shared extent store) but is unreachable while the
@@ -136,23 +134,19 @@ func (e *Evaluator) SetAcceleration(on bool) {
 	}
 }
 
-// InvalidateExtents drops every memoized extent and detaches the shared
+// InvalidateExtents drops the compiled plans and detaches the shared
 // extent store. Callers that mutate a query tree previously passed to
 // Extent — changing a node's Where, Path, or OrderBy — must invalidate
-// before the next Extent call; extents are the only cache that reads
-// mutable query state, so nothing else needs flushing. Detaching the
-// shared store (rather than flushing it) keeps the cross-session
-// invariant: shared artifacts are immutable after publish, and an
-// evaluator that mutates its trees simply stops publishing.
+// before the next Extent call: plans resolve predicates, binding paths,
+// and join prefilters at compile time, and they are the only
+// evaluator state that reads mutable query state, so nothing else
+// needs flushing. The shared plan set and extent store are detached
+// rather than flushed, which keeps the cross-session invariant: shared
+// artifacts are immutable after publish, and an evaluator that mutates
+// its trees simply stops using them. Recompiles are cheap — the DFA
+// and path caches survive.
 func (e *Evaluator) InvalidateExtents() {
-	e.extents = nil
-	e.extentCount = 0
 	e.shared = nil
-	// Compiled plans resolve predicates, binding paths, and join
-	// prefilters at compile time, so they are exactly as stale as the
-	// extents they produced: drop the local cache and detach the shared
-	// set under the same immutable-after-publish rule as the extent
-	// store. Recompiles are cheap — the DFA and path caches survive.
 	e.plans = nil
 	e.sharedPlan = nil
 	// With the local plans gone, nothing aliases the compile arena's
@@ -204,40 +198,6 @@ func appendPinFP(buf []byte, pinned Env) []byte {
 		buf = strconv.AppendInt(buf, int64(p.id), 10)
 	}
 	return buf
-}
-
-// cachedExtent returns the memoized extent for (query node, pinned
-// fingerprint), if any. The fingerprint stays a byte slice: the
-// two-level map lets the lookup use the compiler's zero-copy
-// string(fp) map-probe, so a cache hit does not allocate a key.
-func (e *Evaluator) cachedExtent(n *Node, fp []byte) ([]*xmldoc.Node, bool) {
-	ext, ok := e.extents[n][string(fp)]
-	if !ok {
-		e.stats.Extent.Misses++
-		return nil, false
-	}
-	e.stats.Extent.Hits++
-	// Return a copy: callers own their result slice.
-	return append([]*xmldoc.Node(nil), ext...), true
-}
-
-// storeExtent memoizes a computed extent. The stored slice is owned by
-// the cache and treated as immutable; lookups copy on the way out.
-func (e *Evaluator) storeExtent(n *Node, fp []byte, ext []*xmldoc.Node) {
-	if e.extentCount >= extentCacheMax {
-		e.extents = nil
-		e.extentCount = 0
-	}
-	if e.extents == nil {
-		e.extents = map[*Node]map[string][]*xmldoc.Node{}
-	}
-	m := e.extents[n]
-	if m == nil {
-		m = map[string][]*xmldoc.Node{}
-		e.extents[n] = m
-	}
-	m[string(fp)] = ext
-	e.extentCount++
 }
 
 // simplePath is EvalSimplePath with memoization: the document is

@@ -63,9 +63,10 @@ func TestFormatNumRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExtentCacheInvalidation pins the extent-memo contract: mutating a
-// query node's Where leaves the memo stale until InvalidateExtents, and
-// invalidation alone (no other cache flush) restores correctness.
+// TestExtentCacheInvalidation pins the invalidation contract: mutating
+// a query node's Where leaves the compiled plan, which baked in the old
+// predicate, stale until InvalidateExtents, and invalidation alone (no
+// other cache flush) restores correctness.
 func TestExtentCacheInvalidation(t *testing.T) {
 	doc := xmldoc.MustParse(`<r><i><v>1</v></i><i><v>2</v></i></r>`)
 	n := &Node{
@@ -80,9 +81,9 @@ func TestExtentCacheInvalidation(t *testing.T) {
 		t.Fatalf("filtered extent = %d nodes, want 1", len(got))
 	}
 	n.Where = nil
-	// The memo has not been told: it still serves the filtered extent.
+	// The evaluator has not been told: its plan still filters.
 	if got := must.Must(ev.Extent(ctx, tree, n, nil)); len(got) != 1 {
-		t.Fatalf("stale extent = %d nodes, want 1 (memoized until invalidated)", len(got))
+		t.Fatalf("stale extent = %d nodes, want 1 (plan stale until invalidated)", len(got))
 	}
 	ev.InvalidateExtents()
 	if got := must.Must(ev.Extent(ctx, tree, n, nil)); len(got) != 2 {

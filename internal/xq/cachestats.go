@@ -22,7 +22,7 @@ func (c CacheCounter) add(o CacheCounter) CacheCounter {
 
 // CacheStats are the acceleration layer's lookup counters, one per
 // cache (see accel.go). A miss is a lookup that fell through to the
-// naive computation and populated the cache; lookups made while
+// uncached computation and populated the cache; lookups made while
 // acceleration is off are not counted. The counters never affect
 // results — they exist so a serving layer can report cache
 // effectiveness per session and in aggregate.
@@ -33,7 +33,9 @@ type CacheStats struct {
 	Simple CacheCounter
 	// Value counts node-atomization memo lookups.
 	Value CacheCounter
-	// Extent counts extent memo lookups (per query node + pinned env).
+	// Extent counts this evaluator's lookups in its attached
+	// SharedExtents store (per query node + pinned env), the only
+	// extent memo; it stays zero when no store is attached.
 	Extent CacheCounter
 	// Relay counts equality-join relay-index lookups.
 	Relay CacheCounter

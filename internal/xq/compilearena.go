@@ -12,12 +12,11 @@ package xq
 // the evaluator-owned chunks, and the compiled plans that store them
 // share the chunks' lifetime exactly. The arena therefore resets only
 // at the points where every evaluator-local plan is dropped — the
-// planFor cache overflow, SetPlanCompilation(false), and
-// InvalidateExtents — never while a plan that could still serve an
-// extent holds a carve. A TreePlan built by NewTreePlan keeps the
-// throwaway compiling evaluator's chunks alive for as long as the plan
-// set itself lives; that evaluator is discarded unreset, so the shared
-// plans can never be clobbered.
+// planFor cache overflow and InvalidateExtents — never while a plan
+// that could still serve an extent holds a carve. A TreePlan built by
+// NewTreePlan keeps the throwaway compiling evaluator's chunks alive
+// for as long as the plan set itself lives; that evaluator is
+// discarded unreset, so the shared plans can never be clobbered.
 //
 // Carves are bump allocations: a carve that fits the current chunk
 // advances its length (a Compile cache hit); one that does not opens a

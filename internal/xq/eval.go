@@ -150,9 +150,7 @@ type Evaluator struct {
 	dfaSyms map[*pathre.DFA][]int32
 
 	// Acceleration layer (accel.go). accel is on by default; the caches
-	// are lazy. extents is the one cache keyed on mutable query state
-	// and has an explicit invalidation hook (InvalidateExtents); every
-	// other cache keys on the immutable document only.
+	// are lazy and key on the immutable document only.
 	accel       bool
 	idx         *Index
 	pathCache   map[pathCacheKey][]*xmldoc.Node
@@ -160,10 +158,9 @@ type Evaluator struct {
 	valueCache  []Value
 	valueSet    []bool
 	relayIdx    map[relayKey]map[string][]*xmldoc.Node
-	extents     map[*Node]map[string][]*xmldoc.Node
-	extentCount int
-	// shared is the optional cross-evaluator extent store (attach with
-	// ShareExtents; detached by InvalidateExtents).
+	// shared is the optional cross-evaluator extent store, the only
+	// extent memo (attach with ShareExtents; detached by
+	// InvalidateExtents).
 	shared *SharedExtents
 	// extentSeen/relaySeen are epoch-stamped dedup marks; lbuf/rbuf and
 	// relayBuf are operand-value scratch reused across atom evaluations.
@@ -172,12 +169,11 @@ type Evaluator struct {
 	lbuf, rbuf []Value
 	relayBuf   []Value
 	pinScratch [1]*xmldoc.Node
-	// Plan/execute split (plan.go, exec.go). compile is on by default;
-	// plans is the evaluator-local compiled-plan cache, sharedPlan an
-	// optional cross-evaluator plan set (AdoptPlan), and exe the
-	// executor's arena scratch. Plans bake in predicate and path state,
-	// so they invalidate with the extent memo.
-	compile    bool
+	// Plan/execute split (plan.go, exec.go). plans is the
+	// evaluator-local compiled-plan cache, sharedPlan an optional
+	// cross-evaluator plan set (AdoptPlan), and exe the executor's arena
+	// scratch. Plans bake in predicate and path state, so
+	// InvalidateExtents drops them.
 	plans      map[*Node]*nodePlan
 	sharedPlan *TreePlan
 	exe        execArena
@@ -193,7 +189,7 @@ type Evaluator struct {
 // document's label set (learning and evaluation are relative to the
 // instance, as XQI is in the paper).
 func NewEvaluator(doc *xmldoc.Document) *Evaluator {
-	return &Evaluator{Doc: doc, alphabet: doc.Alphabet(), dfas: map[string]*pathre.DFA{}, accel: true, compile: true}
+	return &Evaluator{Doc: doc, alphabet: doc.Alphabet(), dfas: map[string]*pathre.DFA{}, accel: true}
 }
 
 // NewEvaluatorWithIndex builds an evaluator over the document of a
@@ -203,7 +199,7 @@ func NewEvaluator(doc *xmldoc.Document) *Evaluator {
 // number of evaluators — concurrent ones included — may adopt one
 // index (the artifact store's sharing model).
 func NewEvaluatorWithIndex(ix *Index) *Evaluator {
-	return &Evaluator{Doc: ix.Doc(), alphabet: ix.Alphabet(), dfas: map[string]*pathre.DFA{}, accel: true, compile: true, idx: ix}
+	return &Evaluator{Doc: ix.Doc(), alphabet: ix.Alphabet(), dfas: map[string]*pathre.DFA{}, accel: true, idx: ix}
 }
 
 func (e *Evaluator) dfa(p pathre.Expr) *pathre.DFA {
@@ -587,104 +583,116 @@ func (e *Evaluator) sortByKeys(nodes []*xmldoc.Node, keys []SortKey) {
 // Extent computes EXT_{e,context}: the nodes bound to n.Var over all
 // satisfying assignments of n's binding chain, with the variables in
 // pinned fixed to the given nodes (paper Section 4.2). The result is
-// deduplicated and in document order. The context is checked at every
-// level of the binding enumeration, so a cancellation aborts promptly
-// even on large instances.
+// deduplicated, in document order, and caller-owned. The context is
+// checked at every level of the binding enumeration, so a cancellation
+// aborts promptly even on large instances.
+//
+// There are two paths: the compiled plan (plan.go, exec.go) while
+// acceleration is on, and naiveExtent, the reference interpreter, when
+// it is off. An attached SharedExtents store (ShareExtents) is
+// consulted before the plan runs and filled after it.
 func (e *Evaluator) Extent(ctx context.Context, t *Tree, n *Node, pinned Env) ([]*xmldoc.Node, error) {
 	if n.Var == "" {
 		return nil, fmt.Errorf("xq: Extent of %s: %w", n.Name(), ErrNoVariable)
 	}
-	// The fingerprint buffer is returned to the pool explicitly on each
-	// path rather than via a deferred closure: the closure would be the
-	// hit path's only heap allocation beyond the caller-owned result
-	// copy, and this is the teacher's hottest loop (the alloc_test
-	// bounds pin it).
-	var fpBuf *[]byte
-	var fp []byte
-	if e.accel {
-		fpBuf = fpPool.Get().(*[]byte)
-		fp = appendPinFP((*fpBuf)[:0], pinned)
-		if ext, ok := e.cachedExtent(n, fp); ok {
-			putFP(fpBuf, fp)
-			return ext, nil
-		}
-		if e.shared != nil {
-			if ext, ok := e.shared.get(n, fp); ok {
-				// Adopt the published slice locally (both caches treat
-				// stored slices as immutable) and hand out a copy.
-				e.storeExtent(n, fp, ext)
-				putFP(fpBuf, fp)
-				return append([]*xmldoc.Node(nil), ext...), nil
-			}
-		}
+	if !e.accel {
+		return e.naiveExtent(ctx, n, pinned)
 	}
-	// Compiled path: lower the binding chain once (plan.go), then run
-	// the arena executor (exec.go). The executor's result aliases the
-	// arena (see "Arena ownership" in DESIGN.md), so it is copied here,
-	// at the boundary, and `out` is caller-owned on every path below —
-	// the arenaalias analyzer proves this function never leaks the
-	// arena. The copy is not an extra allocation: it replaces the
-	// second caller-copy the tail used to make on the computed path.
+	if e.shared == nil {
+		return e.compiledExtent(ctx, n, pinned)
+	}
+	// A deferred direct call, not a closure: the store-hit path is the
+	// teacher's hottest loop, and its only allocation must stay the
+	// caller-owned copy (the alloc_test bounds pin it).
+	fpBuf := fpPool.Get().(*[]byte)
+	fp := appendPinFP((*fpBuf)[:0], pinned)
+	defer putFP(fpBuf, fp)
+	if ext, ok := e.shared.get(n, fp); ok {
+		e.stats.Extent.Hits++
+		return append([]*xmldoc.Node(nil), ext...), nil
+	}
+	e.stats.Extent.Misses++
+	out, err := e.compiledExtent(ctx, n, pinned)
+	if err != nil {
+		return nil, err
+	}
+	// Publish a private copy: the caller owns out, while the store
+	// treats its slices as immutable.
+	e.shared.put(n, fp, append([]*xmldoc.Node(nil), out...))
+	return out, nil
+}
+
+// compiledExtent runs n's compiled plan. The executor's result aliases
+// its arena (see "Arena ownership" in DESIGN.md), so it is copied here,
+// at the boundary; the arenaalias analyzer proves nothing else escapes.
+func (e *Evaluator) compiledExtent(ctx context.Context, n *Node, pinned Env) ([]*xmldoc.Node, error) {
+	p, err := e.planFor(n)
+	if err != nil {
+		return nil, err
+	}
+	res, err := e.execExtent(ctx, p, pinned)
+	if err != nil {
+		return nil, err
+	}
+	out := append([]*xmldoc.Node(nil), res...)
+	sortNodesByID(out)
+	return out, nil
+}
+
+// naiveExtent is the reference interpreter behind SetAcceleration(false):
+// a direct recursion over the binding chain through bindingsInto. The
+// differential tests (prop_test.go, FuzzCompiledExtent) hold the
+// compiled path to it.
+func (e *Evaluator) naiveExtent(ctx context.Context, n *Node, pinned Env) ([]*xmldoc.Node, error) {
+	chain, err := bindingChain(n)
+	if err != nil {
+		return nil, err
+	}
 	var out []*xmldoc.Node
-	computed := false
-	if e.accel && e.compile {
-		if p := e.planFor(n); p != nil {
-			res, err := e.execExtent(ctx, p, pinned)
-			if err != nil {
-				putFP(fpBuf, fp)
-				return nil, err
-			}
-			out = append([]*xmldoc.Node(nil), res...)
-			computed = true
+	seen := e.beginExtentSeen()
+	var rec func(i int, sc *scope) error
+	rec = func(i int, sc *scope) error {
+		if err := ctxErr(ctx); err != nil {
+			return err
 		}
-	}
-	if !computed {
-		chain := n.BindingChain()
-		seen := e.beginExtentSeen()
-		var rec func(i int, sc *scope) error
-		rec = func(i int, sc *scope) error {
-			if err := ctxErr(ctx); err != nil {
-				return err
+		if i == len(chain) {
+			if b := sc.lookup(n.Var); seen.mark(b.ID) {
+				out = append(out, b)
 			}
-			if i == len(chain) {
-				if b := sc.lookup(n.Var); seen.mark(b.ID) {
-					out = append(out, b)
-				}
-				return nil
-			}
-			node := chain[i]
-			bp := getScratch()
-			bs := e.bindingsInto((*bp)[:0], node, sc, pinned)
-			for _, b := range bs {
-				if err := rec(i+1, sc.with(node.Var, b)); err != nil {
-					*bp = bs[:0]
-					putScratch(bp)
-					return err
-				}
-			}
-			*bp = bs[:0]
-			putScratch(bp)
 			return nil
 		}
-		if err := rec(0, nil); err != nil {
-			if fpBuf != nil {
-				putFP(fpBuf, fp)
+		node := chain[i]
+		bp := getScratch()
+		bs := e.bindingsInto((*bp)[:0], node, sc, pinned)
+		for _, b := range bs {
+			if err := rec(i+1, sc.with(node.Var, b)); err != nil {
+				*bp = bs[:0]
+				putScratch(bp)
+				return err
 			}
-			return nil, err
 		}
+		*bp = bs[:0]
+		putScratch(bp)
+		return nil
+	}
+	if err := rec(0, nil); err != nil {
+		return nil, err
 	}
 	sortNodesByID(out)
-	if e.accel {
-		// Store a private copy: the caller owns `out`, while the memo and
-		// the shared store (if attached) treat their slices as immutable.
-		stored := append([]*xmldoc.Node(nil), out...)
-		e.storeExtent(n, fp, stored)
-		if e.shared != nil {
-			e.shared.put(n, fp, stored)
-		}
-		putFP(fpBuf, fp)
-	}
 	return out, nil
+}
+
+// bindingChain is n.BindingChain checked for evaluability: every chain
+// node must carry a binding path. Both extent paths start here, so a
+// tree missing one fails the same way under either.
+func bindingChain(n *Node) ([]*Node, error) {
+	chain := n.BindingChain()
+	for _, cn := range chain {
+		if cn.Path == nil {
+			return nil, fmt.Errorf("xq: Extent of $%s: binding $%s: %w", n.Var, cn.Var, ErrNoBindingPath)
+		}
+	}
+	return chain, nil
 }
 
 // sortNodesByID orders nodes by ID, skipping the sort when the slice is

@@ -385,6 +385,25 @@ func TestExtentErrNoVariable(t *testing.T) {
 	}
 }
 
+// TestExtentNoBindingPath pins the compiler's totality: a binding
+// chain whose anchor has no Path is an ErrNoBindingPath on both the
+// compiled and the naive path, never a nil dereference.
+func TestExtentNoBindingPath(t *testing.T) {
+	leaf := &Node{Var: "j", From: "i", Path: pathre.MustParsePath("name"), Ret: RVar{Name: "j"}}
+	anchor := &Node{Var: "i", Children: []*Node{leaf}, Ret: RElem{Tag: "o", Kids: []RetExpr{RChild{Node: leaf}}}}
+	tree := NewTree(anchor)
+	for _, accel := range []bool{true, false} {
+		ev := NewEvaluator(figure4Doc())
+		ev.SetAcceleration(accel)
+		for _, n := range []*Node{anchor, leaf} {
+			_, err := ev.Extent(context.Background(), tree, n, nil)
+			if !errors.Is(err, ErrNoBindingPath) {
+				t.Errorf("acceleration %v: Extent($%s) err = %v, want errors.Is(..., ErrNoBindingPath)", accel, n.Var, err)
+			}
+		}
+	}
+}
+
 func TestContainsAndScale(t *testing.T) {
 	doc := xmldoc.MustParse(`<r><d>golden ring</d><a>10</a><b>25</b></r>`)
 	ev := NewEvaluator(doc)

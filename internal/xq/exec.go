@@ -56,7 +56,7 @@ func (e *Evaluator) execExtent(ctx context.Context, p *nodePlan, pinned Env) ([]
 // execLevel enumerates level i's candidates, filters them through the
 // level's predicates, and recurses; the innermost level emits the
 // plan's own binding. The context is checked per level entry — the
-// same cancellation granularity as the interpreted enumeration.
+// same cancellation granularity as naiveExtent.
 func (e *Evaluator) execLevel(ctx context.Context, p *nodePlan, i int, pinned Env, seen *seenSet) error {
 	if err := ctxErr(ctx); err != nil {
 		return err

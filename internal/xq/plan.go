@@ -25,8 +25,8 @@ import (
 // Plans read only immutable inputs afterwards, so a compiled TreePlan
 // is shareable across evaluators and goroutines, and the artifact
 // store caches one per bundle. Because predicates and paths are baked
-// in at compile time, plans share the extent memo's invalidation
-// contract: InvalidateExtents drops them.
+// in at compile time, plans go stale when their tree is mutated;
+// InvalidateExtents drops them.
 
 // planCacheMax bounds the per-evaluator plan cache. Plans are keyed by
 // query-node pointer; the engine compiles fresh hypothesis trees
@@ -117,13 +117,13 @@ type operandPlan struct {
 	mul       float64
 }
 
-// compileExtent lowers n's extent computation into a nodePlan, or nil
-// when the node cannot be compiled (a chain node without a binding
-// path); callers fall back to the interpreter on nil.
-func (e *Evaluator) compileExtent(n *Node) *nodePlan {
-	chain := n.BindingChain()
-	if len(chain) == 0 {
-		return nil
+// compileExtent lowers the extent computation of n, which must bind a
+// variable, into a nodePlan. It is total: a chain node without a
+// binding path is ErrNoBindingPath, exactly as in naiveExtent.
+func (e *Evaluator) compileExtent(n *Node) (*nodePlan, error) {
+	chain, err := bindingChain(n)
+	if err != nil {
+		return nil, err
 	}
 	p := &nodePlan{levels: e.carveLevels(len(chain)), relaySlot: len(chain)}
 	// slotOf resolves a variable reference visible at chain level upto:
@@ -137,9 +137,6 @@ func (e *Evaluator) compileExtent(n *Node) *nodePlan {
 		return slotUnresolved
 	}
 	for i, cn := range chain {
-		if cn.Path == nil {
-			return nil
-		}
 		lv := &p.levels[i]
 		lv.varName = cn.Var
 		if cn.From == "" {
@@ -151,7 +148,7 @@ func (e *Evaluator) compileExtent(n *Node) *nodePlan {
 				// No visible binding for From: the interpreter's lookup
 				// yields nil and the level binds nothing, ever.
 				p.dead = true
-				return p
+				return p, nil
 			}
 			lv.fromSlot = from
 			lv.expr = cn.Path
@@ -162,7 +159,7 @@ func (e *Evaluator) compileExtent(n *Node) *nodePlan {
 			lv.preds[k] = e.compilePred(pr, i, p.relaySlot, slotOf)
 		}
 	}
-	return p
+	return p, nil
 }
 
 // compilePred lowers one predicate evaluated at chain level `level`.
@@ -220,19 +217,17 @@ func (e *Evaluator) compileOperand(o Operand, resolve func(string) int) operandP
 
 // planFor returns the compiled plan for n, consulting the shared
 // TreePlan first, then the evaluator-local cache, compiling on miss.
-// nil means n is uncompilable and the caller must interpret.
-func (e *Evaluator) planFor(n *Node) *nodePlan {
+// Compile errors are returned, not cached.
+func (e *Evaluator) planFor(n *Node) (*nodePlan, error) {
 	if e.sharedPlan != nil {
 		if p, ok := e.sharedPlan.nodes[n]; ok {
 			e.stats.Plan.Hits++
-			return p
+			return p, nil
 		}
 	}
 	if p, ok := e.plans[n]; ok {
-		if p != nil {
-			e.stats.Plan.Hits++
-		}
-		return p
+		e.stats.Plan.Hits++
+		return p, nil
 	}
 	e.stats.Plan.Misses++
 	// Evict before compiling, not after: the reset drops every cached
@@ -243,12 +238,15 @@ func (e *Evaluator) planFor(n *Node) *nodePlan {
 		e.plans = nil
 		e.comp.reset()
 	}
-	p := e.compileExtent(n)
+	p, err := e.compileExtent(n)
+	if err != nil {
+		return nil, err
+	}
 	if e.plans == nil {
 		e.plans = map[*Node]*nodePlan{}
 	}
 	e.plans[n] = p
-	return p
+	return p, nil
 }
 
 // TreePlan is the compiled plan set for one (document, query tree)
@@ -257,8 +255,8 @@ func (e *Evaluator) planFor(n *Node) *nodePlan {
 // during execution, so any number of evaluators over the same document
 // may adopt one concurrently — the artifact store caches a TreePlan
 // per bundle on exactly that contract. The tree must not be mutated
-// while a TreePlan for it is in use (the same rule the extent memo
-// already imposes; see InvalidateExtents).
+// while a TreePlan for it is in use (the same rule SharedExtents
+// imposes; see InvalidateExtents).
 type TreePlan struct {
 	doc   *xmldoc.Document
 	nodes map[*Node]*nodePlan
@@ -277,7 +275,7 @@ func NewTreePlan(ix *Index, t *Tree) *TreePlan {
 		if n.Var == "" {
 			continue
 		}
-		if p := ev.compileExtent(n); p != nil {
+		if p, err := ev.compileExtent(n); err == nil {
 			tp.nodes[n] = p
 			tp.bytes += planBytes(p)
 		}
@@ -312,17 +310,5 @@ func planBytes(p *nodePlan) int {
 func (e *Evaluator) AdoptPlan(p *TreePlan) {
 	if p != nil && p.doc == e.Doc {
 		e.sharedPlan = p
-	}
-}
-
-// SetPlanCompilation toggles the compiled plan/execute path, on by
-// default. Off, extents still memoize (the acceleration layer) but are
-// computed by the interpreted enumeration — the middle leg of the
-// three-way property tests.
-func (e *Evaluator) SetPlanCompilation(on bool) {
-	e.compile = on
-	if !on {
-		e.plans = nil
-		e.comp.reset()
 	}
 }

@@ -118,8 +118,7 @@ func TestCompiledDeadChain(t *testing.T) {
 }
 
 // TestPlanCacheCounters pins the Plan counter semantics: first extent
-// compiles (miss), repeats reuse (hits) — once the memo is bypassed by
-// distinct pins — and SetPlanCompilation(false) stops both.
+// compiles (miss), repeats reuse (hits).
 func TestPlanCacheCounters(t *testing.T) {
 	doc := planDoc()
 	tree := MustParseQuery(`for $i in /r/items/item where data($i/price) > 30 return <o>$i</o>`)
@@ -130,7 +129,7 @@ func TestPlanCacheCounters(t *testing.T) {
 	if got := ev.CacheStats().Plan; got.Misses != 1 || got.Hits != 0 {
 		t.Fatalf("after first extent: Plan = %+v, want 1 miss", got)
 	}
-	// Distinct pins bypass the extent memo and re-enter the executor.
+	// Every further extent, pinned or not, re-enters the executor.
 	for _, m := range ext {
 		must.Must(ev.Extent(ctx, tree, n, Env{"i": m}))
 	}
@@ -140,12 +139,6 @@ func TestPlanCacheCounters(t *testing.T) {
 	}
 	if st.Arena.Hits == 0 {
 		t.Fatalf("Arena = %+v, want reuse hits after warmup", st.Arena)
-	}
-	off := NewEvaluator(doc)
-	off.SetPlanCompilation(false)
-	must.Must(off.Extent(ctx, tree, n, nil))
-	if got := off.CacheStats().Plan; got.Hits+got.Misses != 0 {
-		t.Fatalf("compilation off: Plan = %+v, want untouched", got)
 	}
 }
 
@@ -240,9 +233,9 @@ func TestPlanCacheEviction(t *testing.T) {
 		}
 	}
 	// Sweep 1 compiles six distinct trees against a four-entry cache, so
-	// eviction fires mid-sweep; sweep 2 pins the variable, bypassing the
-	// extent memo and forcing planFor lookups for trees whose plans were
-	// dropped — the recompile-into-reset-arena path.
+	// eviction fires mid-sweep; sweep 2 pins the variable and forces
+	// planFor lookups for trees whose plans were dropped — the
+	// recompile-into-reset-arena path.
 	for _, tree := range trees {
 		check(1, tree, nil)
 	}

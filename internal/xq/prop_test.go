@@ -1,10 +1,11 @@
-// Property test for the acceleration layers: on every scenario truth
-// tree, three evaluation modes must be node-for-node identical — the
-// naive interpreter (acceleration off), the memoized interpreter
-// (acceleration on, plan compilation off: the PR-3 layer), and the
-// compiled plan/execute path (the default) — including repeated calls
-// (memo hits) and pinned environments (distinct cache keys). External
-// test package because xmark/xmp pull in core, which imports xq.
+// Property test for the acceleration layer: on every scenario truth
+// tree, three evaluators must be node-for-node identical — the naive
+// interpreter (acceleration off, the oracle), the compiled plan/execute
+// path with a SharedExtents store attached (the teacher's production
+// setup), and the bare compiled path (the engine's) — including
+// repeated calls (store hits) and pinned environments (distinct store
+// keys). External test package because xmark/xmp pull in core, which
+// imports xq.
 package xq_test
 
 import (
@@ -30,20 +31,20 @@ func sameNodes(a, b []*xmldoc.Node) bool {
 	return true
 }
 
-// threeWay builds the three evaluation modes over one document.
-func threeWay(doc *xmldoc.Document) (naive, memo, comp *xq.Evaluator) {
+// extentModes builds the three evaluators over one document.
+func extentModes(doc *xmldoc.Document) (naive, shared, comp *xq.Evaluator) {
 	naive = xq.NewEvaluator(doc)
 	naive.SetAcceleration(false)
-	memo = xq.NewEvaluator(doc)
-	memo.SetPlanCompilation(false)
+	shared = xq.NewEvaluator(doc)
+	shared.ShareExtents(xq.NewSharedExtents())
 	comp = xq.NewEvaluator(doc)
-	return naive, memo, comp
+	return naive, shared, comp
 }
 
 // checkExtents compares all three evaluators on every bound variable of
 // the tree, twice per pinned environment so the second call is served
-// from each accelerated mode's extent memo.
-func checkExtents(t *testing.T, doc *xmldoc.Document, tree *xq.Tree, naive, memo, comp *xq.Evaluator) {
+// from the shared mode's extent store.
+func checkExtents(t *testing.T, doc *xmldoc.Document, tree *xq.Tree, naive, shared, comp *xq.Evaluator) {
 	t.Helper()
 	ctx := context.Background()
 	for _, n := range tree.Nodes() {
@@ -68,7 +69,7 @@ func checkExtents(t *testing.T, doc *xmldoc.Document, tree *xq.Tree, naive, memo
 			for _, m := range []struct {
 				mode string
 				ev   *xq.Evaluator
-			}{{"memoized", memo}, {"compiled", comp}} {
+			}{{"shared", shared}, {"compiled", comp}} {
 				mode, ev := m.mode, m.ev
 				for round := 0; round < 2; round++ {
 					got, err := ev.Extent(ctx, tree, n, pin)
@@ -92,8 +93,11 @@ func TestAcceleratedExtentMatchesNaive(t *testing.T) {
 	for _, s := range scens {
 		t.Run(s.ID, func(t *testing.T) {
 			doc := s.Doc()
-			naive, memo, comp := threeWay(doc)
-			checkExtents(t, doc, s.Truth(), naive, memo, comp)
+			naive, shared, comp := extentModes(doc)
+			checkExtents(t, doc, s.Truth(), naive, shared, comp)
+			if hits := shared.CacheStats().Extent.Hits; hits == 0 {
+				t.Errorf("shared mode: Extent.Hits = 0, want round-two store hits")
+			}
 		})
 	}
 }
@@ -111,16 +115,18 @@ func TestAcceleratedExtentMatchesNaiveReseeded(t *testing.T) {
 	doc := xmark.Generate(cfg)
 	for _, s := range xmark.Scenarios() {
 		t.Run(s.ID, func(t *testing.T) {
-			naive, memo, comp := threeWay(doc)
-			checkExtents(t, doc, s.Truth(), naive, memo, comp)
+			naive, shared, comp := extentModes(doc)
+			checkExtents(t, doc, s.Truth(), naive, shared, comp)
 		})
 	}
 }
 
-// TestThreeWayExtentInvalidation extends the PR-3 invalidation contract
-// to compiled plans: mutate a truth tree's predicates, invalidate all
-// three modes, and require agreement again — the compiled path must
-// recompile, not serve the plan it baked the old predicate into.
+// TestThreeWayExtentInvalidation pins the invalidation contract across
+// the three evaluators of extentModes: mutate a truth tree's
+// predicates, invalidate all three, and require agreement again — the
+// compiled path must recompile, not serve the plan it baked the old
+// predicate into, and the shared mode must detach its store, not serve
+// extents published for the old tree.
 func TestThreeWayExtentInvalidation(t *testing.T) {
 	var scens []*scenario.Scenario
 	scens = append(scens, xmark.Scenarios()...)
@@ -139,20 +145,20 @@ func TestThreeWayExtentInvalidation(t *testing.T) {
 			if target == nil {
 				t.Skip("truth tree has no predicated variable")
 			}
-			naive, memo, comp := threeWay(doc)
+			naive, shared, comp := extentModes(doc)
 			// Warm every cache on the original tree first.
-			checkExtents(t, doc, tree, naive, memo, comp)
+			checkExtents(t, doc, tree, naive, shared, comp)
 			saved := target.Where
 			target.Where = nil
 			naive.InvalidateExtents()
-			memo.InvalidateExtents()
+			shared.InvalidateExtents()
 			comp.InvalidateExtents()
-			checkExtents(t, doc, tree, naive, memo, comp)
+			checkExtents(t, doc, tree, naive, shared, comp)
 			target.Where = saved
 			naive.InvalidateExtents()
-			memo.InvalidateExtents()
+			shared.InvalidateExtents()
 			comp.InvalidateExtents()
-			checkExtents(t, doc, tree, naive, memo, comp)
+			checkExtents(t, doc, tree, naive, shared, comp)
 		})
 	}
 }

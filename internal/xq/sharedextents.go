@@ -2,20 +2,19 @@ package xq
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/xmldoc"
 )
 
-// sharedExtentMax bounds the shared store like the per-evaluator memo:
-// on overflow the store is dropped wholesale and refills — a speed
-// valve, never a correctness mechanism.
+// sharedExtentMax bounds the store: on overflow it is dropped
+// wholesale and refills — a speed valve, never a correctness mechanism.
 const sharedExtentMax = 1 << 15
 
-// SharedExtents is a cross-evaluator memo of pinned extents for one
-// immutable (document, query tree) pair — in practice the ground-truth
-// tree a scenario's teachers evaluate, the most expensive recomputation
-// when many sessions learn against the same spec.
+// SharedExtents is the only extent memo: a cross-evaluator store of
+// pinned extents for one immutable (document, query tree) pair — in
+// practice the ground-truth tree a scenario's teachers evaluate, the
+// most expensive recomputation when many sessions learn against the
+// same spec.
 //
 // Concurrency model: the maps are guarded by an RWMutex; the extent
 // slices are immutable after publish (publishers hand over ownership
@@ -27,9 +26,6 @@ type SharedExtents struct {
 	mu    sync.RWMutex
 	m     map[*Node]map[string][]*xmldoc.Node
 	count int
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
 }
 
 // NewSharedExtents returns an empty store.
@@ -43,11 +39,6 @@ func (s *SharedExtents) get(n *Node, fp []byte) ([]*xmldoc.Node, bool) {
 	s.mu.RLock()
 	ext, ok := s.m[n][string(fp)]
 	s.mu.RUnlock()
-	if ok {
-		s.hits.Add(1)
-	} else {
-		s.misses.Add(1)
-	}
 	return ext, ok
 }
 
@@ -71,16 +62,4 @@ func (s *SharedExtents) put(n *Node, fp []byte, ext []*xmldoc.Node) {
 	}
 	m[string(fp)] = ext
 	s.count++
-}
-
-// Stats snapshots the lookup counters in the cachestats shape.
-func (s *SharedExtents) Stats() CacheCounter {
-	return CacheCounter{Hits: s.hits.Load(), Misses: s.misses.Load()}
-}
-
-// Len reports how many extents are currently published.
-func (s *SharedExtents) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.count
 }
