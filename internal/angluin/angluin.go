@@ -54,18 +54,12 @@ type Stats struct {
 	EquivalenceQueries int
 	Counterexamples    int
 	HypothesisStates   int
-	// BatchRounds / BatchedQueries count MemberBatch round trips and
-	// the membership queries shipped in them (zero for single-query
-	// teachers).
+	// BatchRounds / BatchedQueries count the query-set waves shipped to
+	// a batch teacher and the membership queries in them (zero for
+	// single-query teachers and for LearnKV, whose adaptive sift probes
+	// are asked one at a time).
 	BatchRounds    int
 	BatchedQueries int
-	// Speculated counts frontier cells offered to the teacher's
-	// Speculator while a batch was in flight; SpeculationKept and
-	// SpeculationDiscarded count how the precomputed values reconciled
-	// against the landed answers.
-	Speculated           int
-	SpeculationKept      int
-	SpeculationDiscarded int
 }
 
 // Option configures Learn.
@@ -108,7 +102,6 @@ func Learn(alphabet []string, t Teacher, opts ...Option) (*pathre.DFA, Stats, er
 	l.keyed, _ = t.(KeyedTeacher)
 	l.batch, _ = t.(BatchTeacher)
 	l.kbatch, _ = t.(KeyedBatchTeacher)
-	l.spec, _ = t.(Speculator)
 	for _, o := range opts {
 		o(l)
 	}
@@ -144,11 +137,9 @@ type learner struct {
 	keyed KeyedTeacher
 	// batch/kbatch are the teacher's batch forms when implemented: the
 	// closedness scan then prefills whole query sets per round trip
-	// (see batch.go) instead of asking cell by cell. spec is the
-	// teacher's speculation hook, offered in-flight cells.
+	// (see batch.go) instead of asking cell by cell.
 	batch   BatchTeacher
 	kbatch  KeyedBatchTeacher
-	spec    Speculator
 	initial []string
 	maxEQ   int
 

@@ -42,21 +42,6 @@ type KeyedBatchTeacher interface {
 	MemberBatchKeyed(words [][]string, keys []string) ([]bool, error)
 }
 
-// Speculator is an optional extension of a batch teacher. While a
-// batch is in flight the learner offers the teacher's local side the
-// cells a pending closedness check needs; the implementation may
-// precompute an answer from local knowledge only — caches, auto-answer
-// rules, a mirrored truth extent — returning ok=false whenever it
-// cannot promise that the value equals what the committed dialogue will
-// produce. SpeculateMember must be free of dialogue side effects (no
-// counter charges, no cache writes) and safe to call concurrently with
-// an in-flight MemberBatch on the same teacher; the learner reconciles
-// every speculated value against the landed answer and counts it kept
-// or discarded (Stats.SpeculationKept/SpeculationDiscarded).
-type Speculator interface {
-	SpeculateMember(word []string, key string) (ans bool, ok bool)
-}
-
 // SerialAdapter adapts any single-query Teacher to the batch seam by
 // asking the set in index order, one Member call per word — today's
 // single-query teachers (test doubles, replay logs, teacher.Sim used
@@ -94,61 +79,29 @@ func (a SerialAdapter) MemberBatch(words [][]string) ([]bool, error) {
 // askWave ships one query set to the batch teacher and commits the
 // answers by index: l.ans[wids[i]] = answers[i], one membership-query
 // charge per word, exactly as the serial learner would have charged
-// asking the same cells one at a time. The wire call runs on its own
-// goroutine with a buffered result channel — if the teacher aborts on a
-// canceled session the goroutine still completes its send and exits, so
-// cancellation mid-batch leaks nothing. While the round trip is in
-// flight, the calling goroutine offers the same set to the teacher's
-// Speculator (when it has one) and reconciles the precomputed values
-// against the landed answers.
+// asking the same cells one at a time.
 func (l *learner) askWave(words [][]string, keys []string, wids []int32) error {
 	if len(words) == 0 {
 		return nil
 	}
-	type batchRes struct {
-		ans []bool
-		err error
+	var ans []bool
+	var err error
+	if l.kbatch != nil {
+		ans, err = l.kbatch.MemberBatchKeyed(words, keys)
+	} else {
+		ans, err = l.batch.MemberBatch(words)
 	}
-	ch := make(chan batchRes, 1)
-	go func() {
-		var a []bool
-		var err error
-		if l.kbatch != nil {
-			a, err = l.kbatch.MemberBatchKeyed(words, keys)
-		} else {
-			a, err = l.batch.MemberBatch(words)
-		}
-		ch <- batchRes{a, err}
-	}()
-	var parked map[int]bool
-	if l.spec != nil {
-		parked = make(map[int]bool, len(words))
-		for i, w := range words {
-			if v, ok := l.spec.SpeculateMember(w, keys[i]); ok {
-				parked[i] = v
-				l.stats.Speculated++
-			}
-		}
+	if err != nil {
+		return err
 	}
-	r := <-ch
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.ans) != len(words) {
-		return fmt.Errorf("angluin: batch teacher answered %d of %d queries", len(r.ans), len(words))
+	if len(ans) != len(words) {
+		return fmt.Errorf("angluin: batch teacher answered %d of %d queries", len(ans), len(words))
 	}
 	l.stats.BatchRounds++
 	l.stats.BatchedQueries += len(words)
 	for i, wid := range wids {
-		l.setAns(wid, r.ans[i])
+		l.setAns(wid, ans[i])
 		l.stats.MembershipQueries++
-		if v, ok := parked[i]; ok {
-			if v == r.ans[i] {
-				l.stats.SpeculationKept++
-			} else {
-				l.stats.SpeculationDiscarded++
-			}
-		}
 	}
 	return nil
 }

@@ -34,23 +34,7 @@ type kvLearner struct {
 	alphabet []string
 	teacher  Teacher
 	// keyed is teacher's KeyedTeacher form when implemented (see Learn).
-	keyed KeyedTeacher
-	// batch/kbatch/spec are the teacher's batch-protocol forms (see
-	// batch.go). KV's sift chain is adaptive — each probe depends on the
-	// previous answer — so unlike L*'s table fills the probes cannot be
-	// merged into multi-query sets without reordering the dialogue;
-	// instead each probe ships as a single-query batch and, while it is
-	// in flight, the learner speculatively precomputes both successor
-	// probes (the yes- and no-child suffixes) against the teacher's
-	// local knowledge, reconciling parked values when the probes are
-	// actually asked.
-	batch  BatchTeacher
-	kbatch KeyedBatchTeacher
-	spec   Speculator
-	// parked holds speculated successor-probe answers by word key,
-	// reconciled (kept/discarded) when the probe is asked; leftovers
-	// are discarded when the run ends.
-	parked  map[string]bool
+	keyed   KeyedTeacher
 	maxEQ   int
 	initial []string
 
@@ -75,16 +59,14 @@ func LearnKV(alphabet []string, t Teacher, opts ...Option) (*pathre.DFA, Stats, 
 		cache:    map[string]bool{},
 	}
 	k.keyed, _ = t.(KeyedTeacher)
-	k.batch, _ = t.(BatchTeacher)
-	k.kbatch, _ = t.(KeyedBatchTeacher)
-	k.spec, _ = t.(Speculator)
-	d, stats, err := k.run()
-	// Speculated values never asked before the run ended were wasted
-	// work: reconcile them as discarded.
-	stats.SpeculationDiscarded += len(k.parked)
-	return d, stats, err
+	return k.run()
 }
 
+// member asks one membership query, serving repeats from the cache.
+// KV's sift chain is adaptive — each probe depends on the previous
+// answer — so probes cannot be merged into query sets without
+// reordering the dialogue; KV asks every probe singly and never uses
+// the batch seam.
 func (k *kvLearner) member(w []string) (bool, error) {
 	key := strings.Join(w, "\x00")
 	if v, ok := k.cache[key]; ok {
@@ -100,23 +82,9 @@ func (k *kvLearner) member(w []string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	k.commit(key, v)
-	return v, nil
-}
-
-// commit records an answered membership query, charging it and
-// reconciling any parked speculative value against the landed answer.
-func (k *kvLearner) commit(key string, v bool) {
 	k.stats.MembershipQueries++
 	k.cache[key] = v
-	if pv, ok := k.parked[key]; ok {
-		delete(k.parked, key)
-		if pv == v {
-			k.stats.SpeculationKept++
-		} else {
-			k.stats.SpeculationDiscarded++
-		}
-	}
+	return v, nil
 }
 
 // sift walks the word down the classification tree to its leaf.
@@ -124,7 +92,7 @@ func (k *kvLearner) sift(w []string) (*ctNode, error) {
 	cur := k.root
 	for !cur.isLeaf() {
 		probe := append(append([]string(nil), w...), cur.suffix...)
-		v, err := k.memberSift(probe, w, cur)
+		v, err := k.member(probe)
 		if err != nil {
 			return nil, err
 		}
@@ -135,69 +103,6 @@ func (k *kvLearner) sift(w []string) (*ctNode, error) {
 		}
 	}
 	return cur, nil
-}
-
-// memberSift asks one sift probe. With a batch teacher the probe ships
-// as a single-query set on its own goroutine while the calling
-// goroutine speculatively precomputes the two possible successor probes
-// — word·suffix for whichever child the landed answer selects — and
-// parks values the teacher's local side can promise; parked values are
-// reconciled by commit when (if ever) the successor probe is asked.
-func (k *kvLearner) memberSift(probe, w []string, cur *ctNode) (bool, error) {
-	key := strings.Join(probe, "\x00")
-	if v, ok := k.cache[key]; ok {
-		return v, nil
-	}
-	if (k.batch == nil && k.kbatch == nil) || k.spec == nil {
-		return k.member(probe)
-	}
-	type batchRes struct {
-		ans []bool
-		err error
-	}
-	ch := make(chan batchRes, 1)
-	words, keys := [][]string{probe}, []string{key}
-	go func() {
-		var a []bool
-		var err error
-		if k.kbatch != nil {
-			a, err = k.kbatch.MemberBatchKeyed(words, keys)
-		} else {
-			a, err = k.batch.MemberBatch(words)
-		}
-		ch <- batchRes{a, err}
-	}()
-	for _, child := range []*ctNode{cur.yes, cur.no} {
-		if child == nil || child.isLeaf() {
-			continue
-		}
-		next := append(append([]string(nil), w...), child.suffix...)
-		nk := strings.Join(next, "\x00")
-		if _, ok := k.cache[nk]; ok {
-			continue
-		}
-		if _, ok := k.parked[nk]; ok {
-			continue
-		}
-		if v, ok := k.spec.SpeculateMember(next, nk); ok {
-			if k.parked == nil {
-				k.parked = map[string]bool{}
-			}
-			k.parked[nk] = v
-			k.stats.Speculated++
-		}
-	}
-	r := <-ch
-	if r.err != nil {
-		return false, r.err
-	}
-	if len(r.ans) != 1 {
-		return false, fmt.Errorf("angluin: batch teacher answered %d of 1 queries", len(r.ans))
-	}
-	k.stats.BatchRounds++
-	k.stats.BatchedQueries++
-	k.commit(key, r.ans[0])
-	return r.ans[0], nil
 }
 
 func (k *kvLearner) run() (*pathre.DFA, Stats, error) {

@@ -65,9 +65,10 @@ type SessionV1 struct {
 	// Verified and Stats are set once the session is done.
 	Verified *bool    `json:"verified,omitempty"`
 	Stats    *StatsV1 `json:"stats,omitempty"`
-	// BatchedMQs (schema version 4) counts the membership queries the
-	// session answered through batched teacher round trips or the local
-	// mirror; zero for sessions learned over the serial protocol.
+	// BatchedMQs (schema version 4) counts the words in the session's
+	// L* query-set waves (core.SpeculationStats.BatchedMQ), all answered
+	// from the local mirror; 0 for Kearns-Vazirani sessions and omitted
+	// for sessions learned over the serial protocol.
 	BatchedMQs int `json:"batched_mqs,omitempty"`
 }
 

@@ -35,8 +35,8 @@ type MetricsV1 struct {
 	// artifact store (bundle lookups, per-document index reuse,
 	// eviction pressure).
 	Artifacts ArtifactStoreV1 `json:"artifact_store"`
-	// Speculation (schema version 4) aggregates the batched teacher
-	// protocol's transport counters across every completed learn.
+	// Speculation (schema version 4) aggregates the transport counters
+	// (see SpeculationV1) across every completed learn.
 	Speculation SpeculationV1 `json:"speculation"`
 }
 

@@ -52,9 +52,11 @@ type HypothesisV1 struct {
 	XQI      string `json:"xqi"`
 }
 
-// SpeculationV1 mirrors core.SpeculationStats on the wire: the batched
-// protocol's transport bookkeeping, disjoint from the dialogue counters
-// in StatsV1 (which the protocol reproduces byte-for-byte).
+// SpeculationV1 mirrors core.SpeculationStats on the wire: the
+// transport bookkeeping (prefetches, mirror answers, L* query-set waves
+// and their words), disjoint from the dialogue counters in StatsV1
+// (which the batched protocol reproduces byte-for-byte). Kept and
+// Discarded always read 0; they stay so schema-4 readers keep parsing.
 type SpeculationV1 struct {
 	Prefetches    int `json:"prefetches"`
 	MirrorAnswers int `json:"mirror_answers"`

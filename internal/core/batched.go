@@ -12,12 +12,12 @@ import (
 	"repro/internal/xq"
 )
 
-// This file is the engine half of the batched, speculative teacher
+// This file is the engine half of the batched, mirrored teacher
 // protocol (Options.Batched + a Teacher implementing BatchTeacher).
 // The protocol collapses per-question round trips to a slow teacher
 // without changing the dialogue itself:
 //
-//   - At session start the engine dispatches one speculative prefetch
+//   - At session start the engine dispatches one answer-set prefetch
 //     per fragment context, concurrently: EquivalentFull(hyp=nil)
 //     returns the fragment's full truth extent plus the teacher's
 //     counterexample policy, and the first prefetch per fragment
@@ -32,9 +32,12 @@ import (
 //     them. Every charge to FragmentStats happens exactly where the
 //     serial protocol charges it, so experiment tables stay
 //     byte-identical.
-//   - A teacher reached over the wire mid-session (a mirror miss after
-//     an alternate-example switch) is refetched synchronously — one
-//     more overlapped round, same answers.
+//   - A mirror miss mid-session (an alternate-example switch changes
+//     the pinned ancestors) dispatches one more prefetch, which the
+//     fragment waits on at its first question — one more round trip,
+//     same answers. There is no other wire path: every membership and
+//     equivalence question of a batched session is answered from a
+//     mirror.
 //
 // Cancellation safety: prefetch goroutines are tracked by a WaitGroup
 // that Learn waits on before returning (on success and on error), and
@@ -45,7 +48,7 @@ import (
 // mirror is one fragment context's prefetched truth knowledge: the
 // extent under the pinned ancestor bindings and the teacher's
 // counterexample policy. It is immutable once ready is closed, so the
-// learn loop and speculative lookups may read it without locking.
+// learn loop may read it without locking.
 type mirror struct {
 	ready chan struct{} // closed when the prefetch round trip lands
 	err   error
@@ -88,12 +91,12 @@ func prefetchQueries(frag FragmentRef, withStash bool) []string {
 	return q
 }
 
-// dispatchPrefetch launches the speculative prefetch for one fragment
+// dispatchPrefetch launches the answer-set prefetch for one fragment
 // context unless one is already in flight (or done). It returns
 // immediately; mirrorReady blocks on the result. The pin map is copied
 // before the goroutine starts, so the caller may keep mutating its own.
 func (e *Engine) dispatchPrefetch(frag FragmentRef, pin map[string]*xmldoc.Node) {
-	if e.batch == nil || e.noMirror {
+	if e.batch == nil {
 		return
 	}
 	key := mirrorKey(frag, pin)
@@ -182,7 +185,7 @@ func (e *Engine) dispatchPrefetch(frag FragmentRef, pin map[string]*xmldoc.Node)
 // trip overlaps with the learner's local work — R1/R2 filtering, table
 // building — instead of stalling the fragment start.
 func (e *Engine) lookupMirror(frag FragmentRef, pin map[string]*xmldoc.Node) *mirror {
-	if e.batch == nil || e.noMirror {
+	if e.batch == nil {
 		return nil
 	}
 	e.dispatchPrefetch(frag, pin)
@@ -213,7 +216,7 @@ func (p *pLearner) mirrorReady() (*mirror, error) {
 // under the mirrored protocol, else over the wire. The OB charge stays
 // with the caller, exactly as serially.
 func (e *Engine) orderBy(ctx context.Context, frag FragmentRef) ([]xq.SortKey, error) {
-	if e.batch == nil || e.noMirror {
+	if e.batch == nil {
 		return e.Teacher.OrderBy(ctx, frag)
 	}
 	e.mirMu.Lock()
@@ -241,7 +244,8 @@ func (e *Engine) orderBy(ctx context.Context, frag FragmentRef) ([]xq.SortKey, e
 func (e *Engine) countMirrorAnswer() { e.spec.MirrorAnswers++ }
 
 // askMember answers an asked membership query about the representative
-// node: from the fragment mirror when one exists, else over the wire.
+// node: from the fragment mirror under the batched protocol, else (a
+// serial session) over the wire.
 // The MQ charge stays with the caller either way.
 func (p *pLearner) askMember(rep *xmldoc.Node) (bool, error) {
 	if p.mirror != nil {
@@ -308,159 +312,4 @@ func (p *pLearner) conditionBox(ce *xmldoc.Node) ([]BoxEntry, error) {
 	}
 	e.countMirrorAnswer()
 	return vs.boxes, nil
-}
-
-// speculateMember implements the angluin.Speculator contract for the
-// fragment: answer a membership query from state that is immutable
-// while a batch is in flight — the options, the path index, the R1
-// filter, and the fragment mirror — or admit it cannot. The committed
-// dialogue never depends on a speculated value (the learner reconciles
-// it against the landed answer), so the only cost of a wrong promise
-// here is a discarded precompute. The answer cache, the positives list,
-// and the evaluator all advance with the dialogue on the batch
-// goroutine and must not be read here.
-func (p *pLearner) speculateMember(w []string, k string) (bool, bool) {
-	if p.eng.batch == nil {
-		return false, false
-	}
-	nodes := p.eng.pathIndex[k]
-	if p.eng.Opts.R1 && p.r1Applicable(w, nodes) {
-		return false, true
-	}
-	// The R2 state machine only moves on counterexamples, which cannot
-	// land while a membership batch is in flight, so reading it here is
-	// alternation-safe.
-	if p.r2 == r2Active && len(w) > 0 && w[len(w)-1] != p.lastTag {
-		return false, true
-	}
-	if len(nodes) == 0 {
-		return false, true // the user dismisses a query with no instance node
-	}
-	m := p.mirror
-	if m == nil {
-		return false, false
-	}
-	// Speculation never blocks: a mirror still in flight (or failed)
-	// just means no promise — the real question will wait on it.
-	select {
-	case <-m.ready:
-	default:
-		return false, false
-	}
-	if m.err != nil {
-		return false, false
-	}
-	// Representative selection depends on the evolving condition state,
-	// but when every instance node at the path agrees on membership the
-	// answer is representative-independent.
-	first := m.in[nodes[0].ID]
-	for _, n := range nodes[1:] {
-		if m.in[n.ID] != first {
-			return false, false
-		}
-	}
-	return first, true
-}
-
-// memberBatchKeyed answers one learner query set. With a mirror the
-// replay loop is local (each query is committed through the normal
-// pipeline, answered by extent lookup); without one but with a batch
-// teacher the set ships over the wire with representative
-// reconciliation; otherwise it replays serially — in every case in
-// index order, so the committed dialogue equals the serial one.
-func (p *pLearner) memberBatchKeyed(words [][]string, keys []string) ([]bool, error) {
-	if p.mirror == nil && p.eng.batch != nil {
-		return p.memberBatchWire(words, keys)
-	}
-	out := make([]bool, len(words))
-	for i := range words {
-		v, err := p.memberKeyed(words[i], keys[i])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// memberBatchWire answers a query set over BatchTeacher.MemberBatch
-// with speculative representative selection: each round walks the
-// still-unanswered queries in order, runs the local pipeline stages
-// (cache, R1/R2, no-node dismissal — these commit immediately), picks a
-// representative node for each query that needs the teacher under the
-// current dialogue state, and ships all of them in one round trip. The
-// landed answers are committed in query order, revalidating each
-// representative first: a commit may advance the condition state and
-// change a later query's serial representative, in which case that
-// speculated answer is discarded and the query re-asked next round. The
-// first pending query's representative is always still valid, so every
-// round commits at least one answer and the committed (query,
-// representative, answer) sequence is exactly the serial protocol's.
-func (p *pLearner) memberBatchWire(words [][]string, keys []string) ([]bool, error) {
-	out := make([]bool, len(words))
-	done := make([]bool, len(words))
-	for {
-		var idxs []int
-		var reps []*xmldoc.Node
-		for i := range words {
-			if done[i] {
-				continue
-			}
-			ans, final, rep, err := p.memberLocal(words[i], keys[i])
-			if err != nil {
-				return nil, err
-			}
-			if final {
-				out[i], done[i] = ans, true
-				continue
-			}
-			idxs = append(idxs, i)
-			reps = append(reps, rep)
-		}
-		if len(idxs) == 0 {
-			return out, nil
-		}
-		queries := make([]string, len(idxs))
-		for j, i := range idxs {
-			queries[j] = "/" + strings.Join(words[i], "/")
-		}
-		emit := p.eng.observePair(Event{Fragment: p.frag.Var, Queries: queries})
-		ans, err := p.eng.batch.MemberBatch(p.ctx, p.frag, p.pinCtx, reps)
-		if err != nil {
-			emit(nil)
-			return nil, fmt.Errorf("core: fragment %s: membership batch: %w", p.frag.Var, err)
-		}
-		emit(ans)
-		if len(ans) != len(reps) {
-			return nil, fmt.Errorf("core: fragment %s: batch teacher answered %d of %d queries",
-				p.frag.Var, len(ans), len(reps))
-		}
-		progress := false
-		for j, i := range idxs {
-			ansI, final, rep, err := p.memberLocal(words[i], keys[i])
-			if err != nil {
-				return nil, err
-			}
-			if final {
-				// An earlier commit in this loop resolved the query locally
-				// (e.g. an R2 default after a cache correction); the wire
-				// answer for the stale representative is unused.
-				out[i], done[i] = ansI, true
-				progress = true
-				p.eng.spec.Discarded++
-				continue
-			}
-			if rep != reps[j] {
-				p.eng.spec.Discarded++ // representative drifted; re-ask next round
-				continue
-			}
-			p.commitAsked(keys[i], rep, ans[j])
-			out[i], done[i] = ans[j], true
-			progress = true
-			p.eng.spec.Kept++
-		}
-		if !progress {
-			return nil, fmt.Errorf("core: fragment %s: membership batch reconcile made no progress", p.frag.Var)
-		}
-	}
 }

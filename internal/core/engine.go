@@ -46,9 +46,8 @@ type Engine struct {
 
 	// Batched-protocol state (see batched.go). batch is the teacher's
 	// batch form, set only when Opts.Batched and the teacher implements
-	// it; noMirror keeps the wire MemberBatch path even then (tests).
-	batch    BatchTeacher
-	noMirror bool
+	// it.
+	batch BatchTeacher
 	// mirMu guards the prefetch tables; the mirrors and stashes they
 	// hold are immutable once their ready channels close.
 	mirMu   sync.Mutex
@@ -171,14 +170,13 @@ func (e *Engine) Learn(ctx context.Context, spec *TaskSpec) (*xq.Tree, *Stats, e
 		return nil, nil, err
 	}
 	tree := xq.NewTree(root)
-	// Speculative prefetch: dispatch every fragment context's answer-set
-	// fetch up front so the round trips overlap. Contexts whose pins
-	// change later (alternate-example switches) miss and refetch
-	// synchronously. Learn never returns — success or not — with a
+	// Dispatch every fragment context's answer-set prefetch up front so
+	// the round trips overlap. Contexts whose pins change later
+	// (alternate-example switches) miss and refetch. Learn never returns — success or not — with a
 	// prefetch goroutine still running.
 	e.prefCtx = ctx
 	defer e.prefWG.Wait()
-	if e.batch != nil && !e.noMirror {
+	if e.batch != nil {
 		for _, f := range frags {
 			pin := map[string]*xmldoc.Node{}
 			for a := f.parent; a != nil; a = a.parent {

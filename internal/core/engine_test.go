@@ -110,19 +110,9 @@ func truthQ1() *xq.Tree {
 
 func runningExample(t *testing.T, opts core.Options, pol teacher.Policy) (*xq.Tree, *core.Stats, *teacher.Sim, *xmldoc.Document) {
 	t.Helper()
-	return runningExampleWith(t, opts, pol, nil)
-}
-
-// runningExampleWith is runningExample with a pre-Learn engine hook for
-// tests that flip unexported engine state (the noMirror wire path).
-func runningExampleWith(t *testing.T, opts core.Options, pol teacher.Policy, mut func(*core.Engine)) (*xq.Tree, *core.Stats, *teacher.Sim, *xmldoc.Document) {
-	t.Helper()
 	doc := xmldoc.MustParse(sourceXML)
 	sim := runningExampleTeacher(doc, pol)
 	eng := core.NewEngine(doc, sim, opts)
-	if mut != nil {
-		mut(eng)
-	}
 	tree, stats, err := eng.Learn(context.Background(), runningExampleSpec())
 	if err != nil {
 		t.Fatalf("Learn: %v", err)

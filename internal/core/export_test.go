@@ -5,13 +5,6 @@ import (
 	"repro/internal/xq"
 )
 
-// DisableMirror forces every batched membership query of the engine
-// over the wire MemberBatch path, skipping the prefetch mirror. The
-// reconcile tests use it to pin the wire protocol's behavior in
-// isolation (normally the mirror answers first and the wire path only
-// carries queries the prefetch could not cover).
-func DisableMirror(e *Engine) { e.noMirror = true }
-
 // RootPathTable exposes the engine's root-path table — the sorted path
 // keys, their label sequences and their nodes — for the differential
 // test against the document-walk oracle.

@@ -127,11 +127,11 @@ func WithKVLearner(on bool) Option {
 	return func(o *Options) { o.UseKVLearner = on }
 }
 
-// WithBatchedProtocol enables the batch-first, speculative teacher
-// protocol when the session's teacher implements BatchTeacher: answer
-// sets are prefetched concurrently per fragment context and the
-// dialogue replays against local mirrors, collapsing per-question round
-// trips to a slow teacher. Queries, counterexamples, and all
+// WithBatchedProtocol enables the batched, mirrored teacher protocol
+// when the session's teacher implements BatchTeacher: answer sets are
+// prefetched concurrently per fragment context and every question of
+// the dialogue is answered from the local mirrors, collapsing
+// per-question round trips to a slow teacher. Queries, counterexamples, and all
 // interaction counters stay byte-identical to the serial protocol. A
 // teacher without a batch interface ignores the option.
 func WithBatchedProtocol(on bool) Option {

@@ -181,31 +181,11 @@ func (p *pLearner) Member(w []string) (bool, error) {
 // so taking it here removes one join per membership query (and the
 // cache insert below reuses the same string).
 func (p *pLearner) memberKeyed(w []string, k string) (bool, error) {
-	ans, final, rep, err := p.memberLocal(w, k)
-	if err != nil || final {
-		return ans, err
-	}
-	ans, err = p.askMember(rep)
-	if err != nil {
-		return false, fmt.Errorf("core: fragment %s: membership query: %w", p.frag.Var, err)
-	}
-	p.commitAsked(k, rep, ans)
-	return ans, nil
-}
-
-// memberLocal runs the local stages of the membership pipeline: the
-// cache, rules R1/R2, and the no-node dismissal — all of which commit
-// immediately (final=true). Otherwise it selects the representative
-// node the teacher must be asked about under the current dialogue state
-// and returns it uncommitted, so batch transports can ask many
-// representatives per round trip and commit each answer with
-// commitAsked once its representative is revalidated.
-func (p *pLearner) memberLocal(w []string, k string) (ans, final bool, rep *xmldoc.Node, err error) {
 	if err := ctxErr(p.ctx); err != nil {
-		return false, false, nil, err
+		return false, err
 	}
 	if a, ok := p.cache[k]; ok {
-		return a.ans, true, nil, nil
+		return a.ans, nil
 	}
 	nodes := p.eng.pathIndex[k]
 	r1 := p.eng.Opts.R1 && p.r1Applicable(w, nodes)
@@ -226,7 +206,7 @@ func (p *pLearner) memberLocal(w []string, k string) (ans, final bool, rep *xmld
 			prov = provR2
 		}
 		p.cache[k] = pans{ans: false, prov: prov}
-		return false, true, nil, nil
+		return false, nil
 	}
 	// Ask the user. With no node at this path the user still has to
 	// dismiss the query (counts as an interaction; this is what R1
@@ -234,7 +214,7 @@ func (p *pLearner) memberLocal(w []string, k string) (ans, final bool, rep *xmld
 	if len(nodes) == 0 {
 		p.stats.MQ++
 		p.cache[k] = pans{ans: false, prov: provAsked}
-		return false, true, nil, nil
+		return false, nil
 	}
 	m := nodes[0]
 	for _, n := range nodes {
@@ -243,18 +223,32 @@ func (p *pLearner) memberLocal(w []string, k string) (ans, final bool, rep *xmld
 			break
 		}
 	}
-	return false, false, m, nil
+	ans, err := p.askMember(m)
+	if err != nil {
+		return false, fmt.Errorf("core: fragment %s: membership query: %w", p.frag.Var, err)
+	}
+	p.stats.MQ++
+	p.cache[k] = pans{ans: ans, prov: provAsked, node: m}
+	if ans {
+		p.addPositive(m)
+	}
+	return ans, nil
 }
 
-// commitAsked commits a teacher-answered membership query into the
-// dialogue: the MQ charge, the cache entry, and the positive-example
-// observation, exactly as the serial pipeline commits them.
-func (p *pLearner) commitAsked(k string, rep *xmldoc.Node, ans bool) {
-	p.stats.MQ++
-	p.cache[k] = pans{ans: ans, prov: provAsked, node: rep}
-	if ans {
-		p.addPositive(rep)
+// memberBatchKeyed answers one learner query set in index order through
+// the single-query pipeline, so the committed dialogue equals the serial
+// one; under the batched protocol askMember serves every asked question
+// from the fragment mirror.
+func (p *pLearner) memberBatchKeyed(words [][]string, keys []string) ([]bool, error) {
+	out := make([]bool, len(words))
+	for i := range words {
+		v, err := p.memberKeyed(words[i], keys[i])
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
 	}
+	return out, nil
 }
 
 func (p *pLearner) r1Applicable(w []string, nodes []*xmldoc.Node) bool {
@@ -544,8 +538,6 @@ func (p *pLearner) run() (*pathre.DFA, error) {
 		// callbacks above, not here.
 		p.eng.spec.BatchRounds += stats.BatchRounds
 		p.eng.spec.BatchedMQ += stats.BatchedQueries
-		p.eng.spec.Kept += stats.SpeculationKept
-		p.eng.spec.Discarded += stats.SpeculationDiscarded
 		if err == nil {
 			p.stats.PathStates = stats.HypothesisStates
 			return d, nil
@@ -565,8 +557,7 @@ func (p *pLearner) run() (*pathre.DFA, error) {
 // teacherAdapter exposes the pLearner as an angluin.Teacher — plus its
 // KeyedTeacher extension (pathKey and the learner's word key are the
 // same "\x00" join, so the learner-materialized key is used verbatim),
-// the batch seam (query sets, committed by index), and the Speculator
-// (precompute from immutable local knowledge while a batch flies).
+// and the batch seam (query sets, committed by index).
 type teacherAdapter struct{ p *pLearner }
 
 func (t teacherAdapter) Member(w []string) (bool, error) { return t.p.Member(w) }
@@ -585,7 +576,4 @@ func (t teacherAdapter) MemberBatch(words [][]string) ([]bool, error) {
 }
 func (t teacherAdapter) MemberBatchKeyed(words [][]string, keys []string) ([]bool, error) {
 	return t.p.memberBatchKeyed(words, keys)
-}
-func (t teacherAdapter) SpeculateMember(w []string, k string) (bool, bool) {
-	return t.p.speculateMember(w, k)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -134,49 +135,75 @@ func (b *blockingTeacher) Member(ctx context.Context, frag core.FragmentRef, pin
 	return b.Sim.Member(ctx, frag, pin, n)
 }
 
-// TestSessionCancelMidLearning: the teacher cancels the context in the
-// middle of the dialogue; Learn must return promptly with an error
+// TestSessionCancelMidLearning: the session is canceled in the middle
+// of the dialogue — serially by the teacher after its second membership
+// query, batched from the observer as the first answer-set prefetch
+// leaves for a slow teacher. Learn must return promptly with an error
 // wrapping context.Canceled, leave the session failed, and leak no
-// goroutines.
+// goroutines (under the batched protocol the prefetch goroutines must
+// be drained too).
 func TestSessionCancelMidLearning(t *testing.T) {
-	before := runtime.NumGoroutine()
+	cases := []struct {
+		name  string
+		setup func(sim *teacher.Sim, opts *core.Options, cancel context.CancelFunc) core.Teacher
+	}{
+		{"serial", func(sim *teacher.Sim, _ *core.Options, cancel context.CancelFunc) core.Teacher {
+			return &cancelingTeacher{Sim: sim, after: 2, cancel: cancel}
+		}},
+		{"batched", func(sim *teacher.Sim, opts *core.Options, cancel context.CancelFunc) core.Teacher {
+			sim.Latency = 5 * time.Millisecond
+			opts.Batched = true
+			var once sync.Once
+			opts.Observe = func(ev core.Event) {
+				if ev.Kind == core.EventMQBatch {
+					once.Do(cancel)
+				}
+			}
+			return sim
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
 
-	doc := xmldoc.MustParse(sourceXML)
-	sim := sessionSim(doc)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ct := &cancelingTeacher{Sim: sim, after: 2, cancel: cancel}
-	sess := core.NewSession(doc, ct, core.DefaultOptions())
+			doc := xmldoc.MustParse(sourceXML)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			opts := core.DefaultOptions()
+			teach := tc.setup(sessionSim(doc), &opts, cancel)
+			sess := core.NewSession(doc, teach, opts)
 
-	start := time.Now()
-	_, _, err := sess.Learn(ctx, sessionSpec())
-	if err == nil {
-		t.Fatal("Learn must fail after mid-session cancellation")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want a wrapped context.Canceled", err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("Learn took %v after cancellation; must return promptly", d)
-	}
-	if got := sess.State(); got != core.SessionFailed {
-		t.Fatalf("state = %v, want failed", got)
-	}
-	if _, _, rerr := sess.Result(); !errors.Is(rerr, context.Canceled) {
-		t.Fatalf("Result err = %v", rerr)
-	}
+			start := time.Now()
+			_, _, err := sess.Learn(ctx, sessionSpec())
+			if err == nil {
+				t.Fatal("Learn must fail after mid-session cancellation")
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want a wrapped context.Canceled", err)
+			}
+			if d := time.Since(start); d > 5*time.Second {
+				t.Fatalf("Learn took %v after cancellation; must return promptly", d)
+			}
+			if got := sess.State(); got != core.SessionFailed {
+				t.Fatalf("state = %v, want failed", got)
+			}
+			if _, _, rerr := sess.Result(); !errors.Is(rerr, context.Canceled) {
+				t.Fatalf("Result err = %v", rerr)
+			}
 
-	// The engine runs on the caller's goroutine and must not leave
-	// stragglers behind; allow the runtime a moment to settle.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
+			// The engine runs on the caller's goroutine and must not leave
+			// stragglers behind; allow the runtime a moment to settle.
+			deadline := time.Now().Add(2 * time.Second)
+			for time.Now().Before(deadline) {
+				if runtime.NumGoroutine() <= before {
+					return
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("goroutines leaked: %d before, %d after", before, after)
+			}
+		})
 	}
 }
 

@@ -111,24 +111,25 @@ type Teacher interface {
 // BatchTeacher is an optional Teacher extension for slow teachers — a
 // remote endpoint, a human behind a GUI — where per-question round-trip
 // latency, not evaluation, dominates session wall-clock. A teacher that
-// implements it lets the engine ship whole query sets per round trip
-// and mirror the answers locally:
+// implements it lets the engine prefetch each fragment's answer set and
+// mirror it locally:
 //
-//   - MemberBatch answers one membership query per candidate node in a
-//     single round trip; answers[i] corresponds to nodes[i], so answer
-//     handling is order-independent by construction (commitment is by
-//     index, never by arrival order).
-//   - EquivalentFull is the speculative form of Equivalent: instead of
+//   - EquivalentFull is the full-answer form of Equivalent: instead of
 //     one counterexample it returns the full symmetric difference of
 //     the truth extent against hyp (add = truth − hyp, remove = hyp −
 //     truth) plus the teacher's deterministic counterexample policy.
 //     The engine reconstructs the truth extent (hyp − remove + add),
-//     mirrors it, and replays every subsequent membership and
+//     mirrors it, and answers every subsequent membership and
 //     equivalence question for the fragment locally — selecting
 //     counterexamples with PickCounterexample(pol, ...) at the same
 //     dialogue points a serial teacher would answer, so interaction
 //     counts and experiment tables stay byte-identical to the serial
 //     protocol.
+//   - MemberBatch answers one membership query per candidate node in a
+//     single round trip; answers[i] corresponds to nodes[i]. The engine
+//     never calls it — the mirror answers every membership question —
+//     but it stays part of the interface for clients that time or
+//     drive a batch teacher directly.
 //
 // The engine only uses these methods when the batched protocol is
 // enabled (WithBatchedProtocol); serial sessions never call them.
@@ -198,11 +199,11 @@ type Options struct {
 	// of concurrent sessions; nil gives the engine a private table
 	// shared across its own fragments.
 	SharedSymbols *angluin.SymbolTable
-	// Batched enables the batch-first, speculative teacher protocol
-	// when the teacher implements BatchTeacher: fragment answer sets are
-	// prefetched concurrently at session start and the dialogue is
-	// replayed against local mirrors, collapsing per-question round
-	// trips. The dialogue itself — queries, counterexamples, counters —
+	// Batched enables the batched, mirrored teacher protocol when the
+	// teacher implements BatchTeacher: fragment answer sets are
+	// prefetched concurrently at session start and every question of
+	// the dialogue is answered from the local mirrors, collapsing
+	// per-question round trips. The dialogue itself — queries, counterexamples, counters —
 	// is byte-identical to the serial protocol; only who answers (the
 	// mirror instead of the wire) changes. Ignored when the teacher has
 	// no batch interface.
@@ -248,26 +249,32 @@ type FragmentStats struct {
 	PathStates int
 }
 
-// SpeculationStats counts the batched-protocol bookkeeping of one
-// session: wire round trips saved and speculative work reconciled. All
-// zero for serial sessions. Deliberately not part of FragmentStats or
-// Totals — the experiment tables measure the paper's dialogue, which
+// SpeculationStats counts the transport bookkeeping of one session:
+// prefetched answer sets and the dialogue questions served from them,
+// plus the L* query-set waves. Deliberately not part of FragmentStats
+// or Totals — the experiment tables measure the paper's dialogue, which
 // the batched protocol reproduces byte-for-byte; these counters measure
 // the transport on top of it.
 type SpeculationStats struct {
-	// Prefetches counts speculative answer-set round trips dispatched
-	// at session start (one EquivalentFull + ConditionBox + OrderBy
-	// group per fragment context).
+	// Prefetches counts answer-set round trips dispatched under the
+	// batched protocol (one EquivalentFull + ConditionBox + OrderBy
+	// group per fragment context); zero for serial sessions.
 	Prefetches int
-	// MirrorAnswers counts dialogue questions (membership and
-	// equivalence) answered from a local mirror instead of the wire.
+	// MirrorAnswers counts dialogue questions (membership, equivalence,
+	// Condition Box, OrderBy) answered from a local mirror instead of
+	// the wire; zero for serial sessions.
 	MirrorAnswers int
-	// BatchRounds / BatchedMQ count MemberBatch round trips and the
-	// membership queries shipped in them (the no-mirror wire path).
+	// BatchRounds / BatchedMQ count the L* query-set waves (the table
+	// fills a pending closedness check needs) and the words in them.
+	// Every session — serial or batched — emits the same waves and
+	// answers each word locally through the membership pipeline, so
+	// these read the same under both protocols. The Kearns-Vazirani
+	// learner asks its adaptive sift probes one at a time and
+	// contributes 0.
 	BatchRounds int
 	BatchedMQ   int
-	// Kept / Discarded count speculatively precomputed answers that the
-	// reconcile step committed into the dialogue vs. threw away.
+	// Kept / Discarded are always 0. They stay because API schema v4
+	// (api.SpeculationV1) and the benchmark harness read them.
 	Kept      int
 	Discarded int
 }
@@ -279,9 +286,8 @@ type Stats struct {
 	DnDTerms int
 	// Fragments in learning order.
 	Fragments []FragmentStats
-	// Speculation counts batched-protocol transport work (see
-	// SpeculationStats); all zero for serial sessions and excluded from
-	// Totals.
+	// Speculation counts transport work (see SpeculationStats) and is
+	// excluded from Totals.
 	Speculation SpeculationStats
 }
 

@@ -14,7 +14,7 @@ import (
 
 // LatencySweep runs every scenario's learning session once under
 // simulated teacher latency (teacher.Sim.Latency), with either the
-// serial or the batched + speculative protocol, over a shared artifact
+// serial or the batched, mirrored protocol, over a shared artifact
 // store so repeated sweeps pay for parses, indexes, and truth extents
 // once. It measures the session dialogue only — Session.Learn, not the
 // result-verification evaluation, which is protocol-independent and

@@ -104,8 +104,6 @@ func (m *metrics) completed(latencyMS float64, tot interactionTotals, cache xq.C
 	m.spec.MirrorAnswers += spec.MirrorAnswers
 	m.spec.BatchRounds += spec.BatchRounds
 	m.spec.BatchedMQ += spec.BatchedMQ
-	m.spec.Kept += spec.Kept
-	m.spec.Discarded += spec.Discarded
 }
 
 // interactionTotals is the subset of core stats the metrics endpoint

@@ -10,8 +10,8 @@ import (
 	"repro/internal/xmldoc"
 )
 
-// bigDoc builds an instance with n <a id><n>text</n></a> records so a
-// single batch can cross the pool threshold once diffMinLen is lowered.
+// bigDoc builds an instance with n <a id><n>text</n></a> records, for
+// large candidate sets.
 func bigDoc(n int) *xmldoc.Document {
 	var b strings.Builder
 	b.WriteString("<r>")
@@ -22,14 +22,10 @@ func bigDoc(n int) *xmldoc.Document {
 	return xmldoc.MustParse(b.String())
 }
 
-// TestMemberBatchPoolPath pins the fan-out path of Sim.MemberBatch:
-// above diffMinLen the membership scan is chunked over the bounded
-// worker pool, and the answers must still land at their candidate's
-// index, agreeing with one Member call per node on a fresh teacher.
+// TestMemberBatchPoolPath pins Sim.MemberBatch on a large interleaved
+// candidate set: every answer must land at its candidate's index,
+// agreeing with one Member call per node on a fresh teacher.
 func TestMemberBatchPoolPath(t *testing.T) {
-	defer func(v int) { diffMinLen = v }(diffMinLen)
-	diffMinLen = 8
-
 	d := bigDoc(64)
 	// Interleave in-extent (<n>) and out-of-extent (<a>) candidates so
 	// a misaligned commit cannot pass by accident.
@@ -40,10 +36,6 @@ func TestMemberBatchPoolPath(t *testing.T) {
 			nodes = append(nodes, d.NodesWithLabel("a")[i])
 		}
 	}
-	if len(nodes) < diffMinLen {
-		t.Fatalf("only %d candidates; need >= %d for the pool path", len(nodes), diffMinLen)
-	}
-
 	s := New(d, truth())
 	ans, err := s.MemberBatch(ctx(), frag(), nil, nodes)
 	if err != nil {
@@ -69,8 +61,7 @@ func TestMemberBatchPoolPath(t *testing.T) {
 	}
 }
 
-// TestMemberBatchBelowThreshold covers the serial fallback for small
-// sets.
+// TestMemberBatchBelowThreshold covers a two-candidate set.
 func TestMemberBatchBelowThreshold(t *testing.T) {
 	d := xmldoc.MustParse(doc)
 	s := New(d, truth())

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/pool"
 	"repro/internal/xmldoc"
 	"repro/internal/xq"
 )
@@ -62,9 +61,10 @@ type Sim struct {
 	ev *xq.Evaluator
 	// Interactions counts every question the simulated user answered.
 	// Under the serial protocol this matches the engine's wire-visible
-	// dialogue; under the batched protocol it counts questions answered
-	// over the wire (batch prefetches), while the engine's Stats keep
-	// counting the replayed dialogue — see core.SpeculationStats.
+	// dialogue; under the batched protocol it counts only the questions
+	// answered over the wire (the answer-set prefetches), while the
+	// engine's Stats count the dialogue its mirror answered — see
+	// core.SpeculationStats.
 	Interactions int
 	// boxesServed tracks one-shot box delivery per fragment.
 	boxesServed map[string]bool
@@ -173,8 +173,9 @@ func (s *Sim) Member(ctx context.Context, frag core.FragmentRef, pin map[string]
 // MemberBatch implements core.BatchTeacher: one round trip (one
 // latency sleep) answers membership for every candidate. Answers are
 // indexed by candidate — nodes[i] is answered by the i-th element —
-// so callers commit by index, never by arrival order. Large batches
-// fan the membership scan out over the shared bounded worker pool.
+// so callers commit by index, never by arrival order. The engine never
+// calls it (its mirror answers every membership question); it serves
+// clients that drive or time a batch teacher directly.
 func (s *Sim) MemberBatch(ctx context.Context, frag core.FragmentRef, pin map[string]*xmldoc.Node, nodes []*xmldoc.Node) ([]bool, error) {
 	if err := s.delay(ctx); err != nil {
 		return nil, err
@@ -191,25 +192,8 @@ func (s *Sim) MemberBatch(ctx context.Context, frag core.FragmentRef, pin map[st
 		in[m.ID] = true
 	}
 	out := make([]bool, len(nodes))
-	if len(nodes) < diffMinLen {
-		for i, n := range nodes {
-			out[i] = in[n.ID]
-		}
-		return out, nil
-	}
-	// Pool path: chunk the candidate list; workers only read the extent
-	// set and write disjoint ranges of out, chunk results in index order.
-	const chunk = 1024
-	nChunks := (len(nodes) + chunk - 1) / chunk
-	if _, err := pool.Run(ctx, nChunks, 8, func(_ context.Context, c int) (struct{}, error) {
-		lo := c * chunk
-		hi := min(lo+chunk, len(nodes))
-		for i := lo; i < hi; i++ {
-			out[i] = in[nodes[i].ID]
-		}
-		return struct{}{}, nil
-	}); err != nil {
-		return nil, err
+	for i, n := range nodes {
+		out[i] = in[n.ID]
 	}
 	return out, nil
 }
