@@ -8,7 +8,7 @@ package angluin
 import (
 	"bytes"
 	"fmt"
-	"strings"
+	"slices"
 
 	"repro/internal/pathre"
 )
@@ -30,18 +30,16 @@ type Teacher interface {
 	Equivalent(hypothesis *pathre.DFA) (counterexample []string, ok bool, err error)
 }
 
-// KeyedTeacher is an optional Teacher extension. MemberKeyed is Member
-// with the word's canonical cache key — strings.Join(word, "\x00") —
-// already materialized: the learner tracks every word it asks about as
-// an integer trie node, so a teacher that maintains its own word-keyed
-// answer cache can probe and insert with the one key string the learner
-// materializes at the teacher boundary instead of re-joining the word
-// (that join is a per-query allocation that tops whole-benchmark
-// profiles). The word-validity contract is Member's; the key may be
-// retained.
-type KeyedTeacher interface {
+// IDTeacher is an optional Teacher extension: MemberID is Member with
+// the word's node ID in the learner's word trie — the caller's Words
+// when Learn runs WithWords, else a private trie. A teacher that keeps
+// per-word state indexes it by ID (and, owning the Words, can Intern the
+// words it meets outside the learner to the same IDs), so no word is
+// ever joined into a string key. The word-validity contract is
+// Member's.
+type IDTeacher interface {
 	Teacher
-	MemberKeyed(word []string, key string) (bool, error)
+	MemberID(word []string, id int32) (bool, error)
 }
 
 // Stats counts the queries the learner issued. Membership queries are
@@ -78,45 +76,62 @@ func WithMaxEquivalenceQueries(n int) Option {
 	return func(l *learner) { l.maxEQ = n }
 }
 
-// WithSymbolTable hands the learner a shared symbol intern table (see
-// SymbolTable). Sessions learning over the same document should pass
-// the bundle's table so the alphabet is interned once per document, not
-// once per fragment; a nil table is ignored and the learner builds a
-// private one.
-func WithSymbolTable(t *SymbolTable) Option {
-	return func(l *learner) {
-		if t != nil {
-			l.tab = t
-		}
-	}
+// WithWords runs the learner on the caller's word trie, so the IDs it
+// passes through IDTeacher/IDBatchTeacher are the caller's and stay
+// stable across every Learn/LearnKV call sharing the Words. The Words
+// must have been built over the same alphabet; the caller keeps
+// ownership and releases it.
+func WithWords(w *Words) Option {
+	return func(l *learner) { l.words = w }
 }
 
 // Learn runs L* over the given alphabet against the teacher and returns
 // the learned minimal DFA.
 func Learn(alphabet []string, t Teacher, opts ...Option) (*pathre.DFA, Stats, error) {
+	sc, _ := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return learnWith(sc, alphabet, t, opts...)
+}
+
+// learnWith is Learn on the given scratch, which it adopts and hands
+// back.
+func learnWith(sc *scratch, alphabet []string, t Teacher, opts ...Option) (*pathre.DFA, Stats, error) {
 	l := &learner{
 		alphabet: append([]string(nil), alphabet...),
 		teacher:  t,
 		maxEQ:    1000,
 	}
-	l.keyed, _ = t.(KeyedTeacher)
+	l.idt, _ = t.(IDTeacher)
 	l.batch, _ = t.(BatchTeacher)
-	l.kbatch, _ = t.(KeyedBatchTeacher)
+	l.idBatch, _ = t.(IDBatchTeacher)
 	for _, o := range opts {
 		o(l)
 	}
-	if l.tab == nil {
-		l.tab = NewSymbolTable()
+	done, err := l.attachWords()
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	sc, _ := scratchPool.Get().(*scratch)
+	defer done()
 	l.adopt(sc)
-	defer func() {
-		l.release(sc)
-		scratchPool.Put(sc)
-	}()
-	l.tr.init(l.tab, l.alphabet)
+	defer l.release(sc)
 	l.grow()
 	return l.run()
+}
+
+// attachWords points the learner at its word trie: the WithWords trie,
+// checked against the alphabet, or a private pooled one. The returned
+// func releases a private trie.
+func (l *learner) attachWords() (func(), error) {
+	if w := l.words; w != nil {
+		if !slices.Equal(w.alphabet, l.alphabet) {
+			return nil, fmt.Errorf("angluin: Words built over a different alphabet")
+		}
+		l.tr = w.tr
+		return func() {}, nil
+	}
+	w := NewWords(nil, l.alphabet)
+	l.words, l.tr = w, w.tr
+	return w.Release, nil
 }
 
 // Membership-table cell states: the table is a dense array indexed by
@@ -131,15 +146,14 @@ const (
 type learner struct {
 	alphabet []string
 	teacher  Teacher
-	// keyed is teacher's KeyedTeacher form when it implements one (nil
-	// otherwise); membership misses prefer it, passing the cache key
-	// materialized at the ask.
-	keyed KeyedTeacher
-	// batch/kbatch are the teacher's batch forms when implemented: the
+	// idt is teacher's IDTeacher form when it implements one (nil
+	// otherwise); membership misses prefer it, passing the word's ID.
+	idt IDTeacher
+	// batch/idBatch are the teacher's batch forms when implemented: the
 	// closedness scan then prefills whole query sets per round trip
 	// (see batch.go) instead of asking cell by cell.
 	batch   BatchTeacher
-	kbatch  KeyedBatchTeacher
+	idBatch IDBatchTeacher
 	initial []string
 	maxEQ   int
 
@@ -148,10 +162,9 @@ type learner struct {
 	// trie.go); all per-word state below is indexed by node ID, so the
 	// scans that dominate L* — closedness, consistency, hypothesis
 	// extraction — and the membership-table probes run on integer
-	// lookups with zero string building. tab is the (possibly shared)
-	// symbol intern table behind the trie.
-	tab *SymbolTable
-	tr  trie
+	// lookups with zero string building. tr is words' trie.
+	words *Words
+	tr    *trie
 	// rowOf maps a node to its observation-table entry in rowEnts, -1
 	// until the node is first used as a table prefix. The indirection
 	// keeps the per-node cost at 4 bytes: only the prefixes of S and
@@ -188,26 +201,23 @@ type learner struct {
 	// closedness query set was batch-prefetched (see prefill); reset
 	// with the epoch.
 	prefilled int
-	// kb is a scratch buffer for the key strings materialized at the
-	// teacher boundary; wb is the matching scratch for the concatenated
-	// words handed to the teacher (the Teacher contract forbids
-	// retaining them).
-	kb []byte
+	// wb is a scratch buffer for the words handed to the teacher one at
+	// a time (the Teacher contract forbids retaining them).
 	wb []string
 	// Batch-wave scratch, reused across waves (see prefill): wvSyms
-	// flat-stores the wave's words back to back and wvOff/wvKOff record
-	// each word's start in wvSyms and in the key blob built in kb, so
-	// the per-word slice headers (wvWords/wvKeys) are materialized only
-	// after the flat buffers stop growing. Word slices carved from
-	// wvSyms are only valid for the batch call — exactly the Teacher
-	// word contract — while keys are substrings of one immutable blob
-	// string per wave, safe for the teacher to retain.
+	// flat-stores the wave's words back to back and wvOff records each
+	// word's start, so the per-word slice headers (wvWords) are
+	// materialized only after the flat buffer stops growing. Word slices
+	// carved from wvSyms are only valid for the batch call — exactly the
+	// Teacher word contract.
 	wvSyms  []string
 	wvOff   []int32
-	wvKOff  []int32
 	wvWords [][]string
-	wvKeys  []string
 	wvWids  []int32
+	// High-water marks of the string-holding scratch: how far this
+	// learner wrote into wb, wvSyms and wvWords, so release clears only
+	// that prefix.
+	wbHigh, wvSymsHigh, wvWordsHigh int
 
 	stats Stats
 }
@@ -226,9 +236,9 @@ type rowEntry struct {
 	inS     bool
 }
 
-func key(w []string) string { return strings.Join(w, "\x00") }
-
-// grow extends the per-node side arrays to the trie's node count.
+// grow extends the per-node side arrays to the trie's node count —
+// nodes the learner added, and nodes the Words' owner interned while the
+// learner ran.
 func (l *learner) grow() {
 	for len(l.rowOf) < l.tr.len() {
 		l.rowOf = append(l.rowOf, -1)
@@ -280,6 +290,9 @@ func (l *learner) checkedAt(id int32) uint32 {
 // registering it on first sight.
 func (l *learner) node(p, sym int32) int32 {
 	if c := l.tr.child(p, sym); c >= 0 {
+		if int(c) >= len(l.rowOf) {
+			l.grow() // interned by the Words' owner mid-learn
+		}
 		return c
 	}
 	id := l.tr.add(p, sym)
@@ -310,7 +323,7 @@ func (l *learner) internWord(w []string) int32 {
 // two-load fast path the closedness and hypothesis scans hit.
 func (l *learner) extID(id int32, ai int) int32 {
 	if ri := l.tr.rowIdx[id]; ri >= 0 {
-		if c := l.tr.rowData[int(ri)*len(l.tr.alpha)+ai]; c >= 0 {
+		if c := l.tr.rowData[int(ri)*len(l.tr.alpha)+ai]; c >= 0 && int(c) < len(l.rowOf) {
 			return c
 		}
 	}
@@ -330,11 +343,16 @@ func (l *learner) member(w []string) (bool, error) {
 	if v := l.ans[id]; v != ansUnknown {
 		return v == ansYes, nil
 	}
+	return l.ask(w, id)
+}
+
+// ask puts one membership question to the teacher — by ID when it
+// takes IDs — and records the answer.
+func (l *learner) ask(w []string, id int32) (bool, error) {
 	var v bool
 	var err error
-	if l.keyed != nil {
-		l.kb = l.tr.appendKey(l.kb[:0], id)
-		v, err = l.keyed.MemberKeyed(w, string(l.kb))
+	if l.idt != nil {
+		v, err = l.idt.MemberID(w, id)
 	} else {
 		v, err = l.teacher.Member(w)
 	}
@@ -351,11 +369,10 @@ func (l *learner) member(w []string) (bool, error) {
 // E only grows, so the cached row stays correct column-for-column
 // forever: a call after a suffix was added probes just the new columns.
 // A cell's membership lookup walks the suffix symbols from the prefix
-// node — integer steps, no key building — and the concatenated word and
-// its key are materialized only when the teacher actually has to be
-// asked. The returned slice aliases the entry's growing buffer — valid
-// until the next row call for the same prefix, which callers never
-// interleave.
+// node — integer steps, no string building — and the concatenated word
+// is materialized only when the teacher actually has to be asked. The
+// returned slice aliases the entry's growing buffer — valid until the
+// next row call for the same prefix, which callers never interleave.
 func (l *learner) row(id int32) ([]byte, error) {
 	ent := l.rowEnt(id)
 	if len(ent.bits) == len(l.e) {
@@ -365,23 +382,11 @@ func (l *learner) row(id int32) ([]byte, error) {
 		wid := l.walk(id, l.eSyms[i])
 		v := l.ans[wid]
 		if v == ansUnknown {
-			w := l.tr.appendWord(l.wb[:0], wid)
-			l.wb = w
-			var b bool
-			var err error
-			if l.keyed != nil {
-				// Materialize the cache key at the boundary so the keyed
-				// teacher's own cache skips re-joining the word.
-				l.kb = l.tr.appendKey(l.kb[:0], wid)
-				b, err = l.keyed.MemberKeyed(w, string(l.kb))
-			} else {
-				b, err = l.teacher.Member(w)
-			}
-			if err != nil {
+			l.wb = l.tr.appendWord(l.wb[:0], wid)
+			l.wbHigh = max(l.wbHigh, len(l.wb))
+			if _, err := l.ask(l.wb, wid); err != nil {
 				return nil, err
 			}
-			l.stats.MembershipQueries++
-			l.setAns(wid, b)
 			v = l.ans[wid]
 		}
 		if v == ansYes {

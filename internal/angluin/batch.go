@@ -34,20 +34,19 @@ type BatchTeacher interface {
 	MemberBatch(words [][]string) ([]bool, error)
 }
 
-// KeyedBatchTeacher is the keyed form of BatchTeacher (see
-// KeyedTeacher): the learner passes the canonical cache key of every
-// word alongside, and keys may be retained.
-type KeyedBatchTeacher interface {
-	KeyedTeacher
-	MemberBatchKeyed(words [][]string, keys []string) ([]bool, error)
+// IDBatchTeacher is the ID form of BatchTeacher (see IDTeacher): the
+// learner passes every word's node ID alongside, at the same index. The
+// ids slice follows the words' validity contract.
+type IDBatchTeacher interface {
+	IDTeacher
+	MemberBatchID(words [][]string, ids []int32) ([]bool, error)
 }
 
 // SerialAdapter adapts any single-query Teacher to the batch seam by
 // asking the set in index order, one Member call per word — today's
 // single-query teachers (test doubles, replay logs, teacher.Sim used
 // serially) keep working unchanged behind it, with an unchanged
-// dialogue. It forwards the keyed fast path when the wrapped teacher
-// has one.
+// dialogue.
 type SerialAdapter struct{ T Teacher }
 
 func (a SerialAdapter) Member(w []string) (bool, error) { return a.T.Member(w) }
@@ -59,15 +58,8 @@ func (a SerialAdapter) Equivalent(h *pathre.DFA) ([]string, bool, error) {
 // MemberBatch answers the set serially, in index order.
 func (a SerialAdapter) MemberBatch(words [][]string) ([]bool, error) {
 	out := make([]bool, len(words))
-	keyed, _ := a.T.(KeyedTeacher)
 	for i, w := range words {
-		var v bool
-		var err error
-		if keyed != nil {
-			v, err = keyed.MemberKeyed(w, key(w))
-		} else {
-			v, err = a.T.Member(w)
-		}
+		v, err := a.T.Member(w)
 		if err != nil {
 			return nil, err
 		}
@@ -80,14 +72,14 @@ func (a SerialAdapter) MemberBatch(words [][]string) ([]bool, error) {
 // answers by index: l.ans[wids[i]] = answers[i], one membership-query
 // charge per word, exactly as the serial learner would have charged
 // asking the same cells one at a time.
-func (l *learner) askWave(words [][]string, keys []string, wids []int32) error {
+func (l *learner) askWave(words [][]string, wids []int32) error {
 	if len(words) == 0 {
 		return nil
 	}
 	var ans []bool
 	var err error
-	if l.kbatch != nil {
-		ans, err = l.kbatch.MemberBatchKeyed(words, keys)
+	if l.idBatch != nil {
+		ans, err = l.idBatch.MemberBatchID(words, wids)
 	} else {
 		ans, err = l.batch.MemberBatch(words)
 	}
@@ -118,20 +110,17 @@ func (l *learner) askWave(words [][]string, keys []string, wids []int32) error {
 func (l *learner) prefill() error {
 	from := l.prefilled
 	l.prefilled = len(l.s)
-	if l.batch == nil && l.kbatch == nil {
+	if l.batch == nil && l.idBatch == nil {
 		return nil
 	}
 	l.waveEpoch++
 	// Collect into the reused flat scratch: word symbols back to back in
-	// wvSyms, key bytes back to back in kb, per-word start offsets
-	// alongside. Appends may move the flat buffers, so the per-word
-	// headers are carved only after collection finishes — the whole wave
-	// then costs a bounded handful of allocations (buffer growth plus
-	// one key blob) instead of a word slice and a key string per query.
+	// wvSyms, per-word start offsets alongside. Appends may move the flat
+	// buffer, so the per-word headers are carved only after collection
+	// finishes — the whole wave then costs a bounded handful of
+	// allocations (buffer growth) instead of a word slice per query.
 	l.wvSyms = l.wvSyms[:0]
-	l.kb = l.kb[:0]
 	l.wvOff = l.wvOff[:0]
-	l.wvKOff = l.wvKOff[:0]
 	l.wvWids = l.wvWids[:0]
 	collect := func(id int32) {
 		ent := l.rowEnt(id)
@@ -143,8 +132,6 @@ func (l *learner) prefill() error {
 			l.waveMark[wid] = l.waveEpoch
 			l.wvOff = append(l.wvOff, int32(len(l.wvSyms)))
 			l.wvSyms = l.tr.appendWord(l.wvSyms, wid)
-			l.wvKOff = append(l.wvKOff, int32(len(l.kb)))
-			l.kb = l.tr.appendKey(l.kb, wid)
 			l.wvWids = append(l.wvWids, wid)
 		}
 	}
@@ -168,20 +155,15 @@ func (l *learner) prefill() error {
 	if cap(words) < n {
 		words = make([][]string, 0, n)
 	}
-	keys := l.wvKeys[:0]
-	if cap(keys) < n {
-		keys = make([]string, 0, n)
-	}
-	blob := string(l.kb)
 	for i := 0; i < n; i++ {
-		we, ke := int32(len(l.wvSyms)), int32(len(blob))
+		we := int32(len(l.wvSyms))
 		if i+1 < n {
-			we, ke = l.wvOff[i+1], l.wvKOff[i+1]
+			we = l.wvOff[i+1]
 		}
-		ws := l.wvOff[i]
-		words = append(words, l.wvSyms[ws:we:we])
-		keys = append(keys, blob[l.wvKOff[i]:ke])
+		words = append(words, l.wvSyms[l.wvOff[i]:we:we])
 	}
-	l.wvWords, l.wvKeys = words, keys
-	return l.askWave(words, keys, l.wvWids)
+	l.wvWords = words
+	l.wvSymsHigh = max(l.wvSymsHigh, len(l.wvSyms))
+	l.wvWordsHigh = max(l.wvWordsHigh, n)
+	return l.askWave(words, l.wvWids)
 }

@@ -12,7 +12,6 @@ package angluin
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/pathre"
 )
@@ -33,13 +32,16 @@ func (n *ctNode) isLeaf() bool { return n.yes == nil && n.no == nil }
 type kvLearner struct {
 	alphabet []string
 	teacher  Teacher
-	// keyed is teacher's KeyedTeacher form when implemented (see Learn).
-	keyed   KeyedTeacher
+	// idt is teacher's IDTeacher form when implemented (see Learn).
+	idt     IDTeacher
 	maxEQ   int
 	initial []string
 
+	// words interns every probe; ans is the answer cache indexed by its
+	// IDs (ansUnknown/ansNo/ansYes).
+	words *Words
 	root  *ctNode
-	cache map[string]bool
+	ans   []uint8
 	stats Stats
 }
 
@@ -47,18 +49,23 @@ type kvLearner struct {
 // Options are shared with Learn; WithInitialExample seeds the first
 // counterexample-style refinement.
 func LearnKV(alphabet []string, t Teacher, opts ...Option) (*pathre.DFA, Stats, error) {
-	shim := &learner{maxEQ: 1000}
+	shim := &learner{alphabet: append([]string(nil), alphabet...), maxEQ: 1000}
 	for _, o := range opts {
 		o(shim)
 	}
+	done, err := shim.attachWords()
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	defer done()
 	k := &kvLearner{
-		alphabet: append([]string(nil), alphabet...),
+		alphabet: shim.alphabet,
 		teacher:  t,
 		maxEQ:    shim.maxEQ,
 		initial:  shim.initial,
-		cache:    map[string]bool{},
+		words:    shim.words,
 	}
-	k.keyed, _ = t.(KeyedTeacher)
+	k.idt, _ = t.(IDTeacher)
 	return k.run()
 }
 
@@ -68,14 +75,17 @@ func LearnKV(alphabet []string, t Teacher, opts ...Option) (*pathre.DFA, Stats, 
 // reordering the dialogue; KV asks every probe singly and never uses
 // the batch seam.
 func (k *kvLearner) member(w []string) (bool, error) {
-	key := strings.Join(w, "\x00")
-	if v, ok := k.cache[key]; ok {
-		return v, nil
+	id := k.words.Intern(w)
+	if n := int(id) + 1; n > len(k.ans) {
+		k.ans = append(k.ans, make([]uint8, n-len(k.ans))...)
+	}
+	if v := k.ans[id]; v != ansUnknown {
+		return v == ansYes, nil
 	}
 	var v bool
 	var err error
-	if k.keyed != nil {
-		v, err = k.keyed.MemberKeyed(w, key)
+	if k.idt != nil {
+		v, err = k.idt.MemberID(w, id)
 	} else {
 		v, err = k.teacher.Member(w)
 	}
@@ -83,7 +93,10 @@ func (k *kvLearner) member(w []string) (bool, error) {
 		return false, err
 	}
 	k.stats.MembershipQueries++
-	k.cache[key] = v
+	k.ans[id] = ansNo
+	if v {
+		k.ans[id] = ansYes
+	}
 	return v, nil
 }
 

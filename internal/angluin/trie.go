@@ -6,10 +6,10 @@ package angluin
 // by walking symbol IDs from the ε root, so the structures that used to
 // be keyed by joined strings (the prefix intern, the membership table)
 // become arrays indexed by node ID and the hot extID/row path builds no
-// strings at all. A node is identified by its (parent, symbol) edge;
-// the joined "\x00"-separated key of the old representation is only
-// materialized when a word actually has to cross the teacher boundary,
-// from the keyLen bookkeeping kept per node.
+// strings at all. A node is identified by its (parent, symbol) edge,
+// and its ID is the word's identity on both sides of the teacher seam
+// (see Words and IDTeacher): only the word's symbols are materialized,
+// from the parent chain, when it has to cross that seam.
 //
 // Child lookup is tiered by how branchy a node actually is:
 //
@@ -32,7 +32,7 @@ const denseAlphabetMax = 256
 type trie struct {
 	tab *SymbolTable
 	// symStr mirrors tab's ID→symbol mapping for the symbols this trie
-	// has resolved, so key/word materialization never takes the table's
+	// has resolved, so word materialization never takes the table's
 	// lock. Entries for IDs other learners interned stay "" until (and
 	// unless) this learner resolves the same symbol.
 	symStr []string
@@ -46,7 +46,6 @@ type trie struct {
 	parent []int32
 	sym    []int32 // symbol ID of the node's last step; -1 at the root
 	depth  []int32 // word length
-	keyLen []int32 // byte length of the "\x00"-joined word key
 	// kidSym/kid are the inline first-child slot (kidSym -1 = no
 	// children). rowIdx is -1 until a second in-alphabet child promotes
 	// the node, then the index of its dense child row: row r lives at
@@ -80,7 +79,6 @@ func (t *trie) init(tab *SymbolTable, alphabet []string) {
 	t.parent = append(t.parent[:0], -1)
 	t.sym = append(t.sym[:0], -1)
 	t.depth = append(t.depth[:0], 0)
-	t.keyLen = append(t.keyLen[:0], 0)
 	t.kidSym = append(t.kidSym[:0], -1)
 	t.kid = append(t.kid[:0], -1)
 	t.rowIdx = append(t.rowIdx[:0], -1)
@@ -92,7 +90,7 @@ func (t *trie) init(tab *SymbolTable, alphabet []string) {
 func (t *trie) len() int { return len(t.parent) }
 
 // resolve interns a symbol through the shared table and records its
-// string locally for lock-free key/word building.
+// string locally for lock-free word building.
 func (t *trie) resolve(s string) int32 {
 	id := t.tab.ID(s)
 	for int(id) >= len(t.symStr) {
@@ -137,12 +135,6 @@ func (t *trie) add(p, sym int32) int32 {
 	t.parent = append(t.parent, p)
 	t.sym = append(t.sym, sym)
 	t.depth = append(t.depth, t.depth[p]+1)
-	// Join semantics: one "\x00" separator per preceding symbol.
-	kl := t.keyLen[p] + int32(len(t.symStr[sym]))
-	if t.depth[p] > 0 {
-		kl++
-	}
-	t.keyLen = append(t.keyLen, kl)
 	t.kidSym = append(t.kidSym, -1)
 	t.kid = append(t.kid, -1)
 	t.rowIdx = append(t.rowIdx, -1)
@@ -180,37 +172,6 @@ func (t *trie) add(p, sym int32) int32 {
 	return id
 }
 
-// appendKey appends node id's "\x00"-joined word key to dst — the same
-// bytes strings.Join(word, "\x00") would produce — writing the parent
-// chain back to front into preallocated space.
-func (t *trie) appendKey(dst []byte, id int32) []byte {
-	n := int(t.keyLen[id])
-	base := len(dst)
-	if cap(dst) < base+n {
-		// Grow like append: doubling keeps a flat multi-word buffer (the
-		// batch wave's) amortized-linear instead of copy-per-word.
-		c := 2 * cap(dst)
-		if c < base+n {
-			c = base + n
-		}
-		grown := make([]byte, base, c)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:base+n]
-	pos := base + n
-	for cur := id; cur > 0; cur = t.parent[cur] {
-		s := t.symStr[t.sym[cur]]
-		pos -= len(s)
-		copy(dst[pos:], s)
-		if t.depth[cur] > 1 {
-			pos--
-			dst[pos] = 0
-		}
-	}
-	return dst
-}
-
 // appendWord appends node id's word to dst, back to front.
 func (t *trie) appendWord(dst []string, id int32) []string {
 	n := int(t.depth[id])
@@ -229,14 +190,4 @@ func (t *trie) appendWord(dst []string, id int32) []string {
 		dst[i] = t.symStr[t.sym[cur]]
 	}
 	return dst
-}
-
-// word returns a freshly allocated copy of node id's word (nil for ε) —
-// for callers that hand the word somewhere it outlives the scratch
-// buffers, like a batch wave.
-func (t *trie) word(id int32) []string {
-	if t.depth[id] == 0 {
-		return nil
-	}
-	return t.appendWord(make([]string, 0, t.depth[id]), id)
 }

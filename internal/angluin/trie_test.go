@@ -1,8 +1,8 @@
 package angluin
 
 import (
-	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +14,7 @@ import (
 // packed-map child regimes, and checks every derived quantity against
 // the string-join oracle the trie replaced: two words reach the same
 // node iff their joined keys are equal, and each node's materialized
-// key and word round-trip to exactly the oracle's strings. Symbols are
+// word round-trips to exactly the oracle's string. Symbols are
 // non-empty by construction — the trie distinguishes the empty word
 // from a one-empty-symbol word, a split the joined-string oracle
 // conflates, and the learner's alphabets are document labels, never "".
@@ -62,21 +62,15 @@ func TestTriePropertyAgainstStringJoinOracle(t *testing.T) {
 				nodeOf[key] = id
 				keys = append(keys, key)
 			}
-			if got := string(tr.appendKey(nil, id)); got != key {
-				t.Fatalf("trial %d: appendKey(%d) = %q, want %q", trial, id, got, key)
-			}
-			if got := strings.Join(tr.word(id), "\x00"); got != key {
+			if got := strings.Join(tr.appendWord(nil, id), "\x00"); got != key {
 				t.Fatalf("trial %d: word(%d) joins to %q, want %q", trial, id, got, key)
 			}
 			if int(tr.depth[id]) != n {
 				t.Fatalf("trial %d: depth(%d) = %d, want %d", trial, id, tr.depth[id], n)
 			}
-			if int(tr.keyLen[id]) != len(key) {
-				t.Fatalf("trial %d: keyLen(%d) = %d, want %d", trial, id, tr.keyLen[id], len(key))
-			}
 		}
 		// Distinct keys must occupy distinct nodes (the trie is a perfect
-		// intern), and every recorded node must still materialize its key.
+		// intern).
 		ids := map[int32]string{}
 		for _, key := range keys {
 			id := nodeOf[key]
@@ -107,30 +101,48 @@ func TestTrieSharedSymbolTable(t *testing.T) {
 	}
 }
 
-// keyRecorder is a keyed (optionally batch) teacher that records the
-// key delivered for every word, for checking the learner's keys
-// against the documented contract: key == strings.Join(word, "\x00").
-type keyRecorder struct {
+// idRecorder is an ID teacher over a caller-owned Words. It checks
+// every ID it is handed against the string-join oracle (one ID per
+// joined word, one joined word per ID, across every Learn sharing the
+// Words), re-interns the word from inside the callback, and interns
+// words the learner has not reached yet — every one-symbol extension of
+// the asked word — so the learner must pick up nodes its owner added
+// mid-learn.
+type idRecorder struct {
 	perfectTeacher
-	batch bool
-	got   map[string]string // joined word -> key as delivered
+	t      *testing.T
+	words  *Words
+	idOf   map[string]int32 // joined word -> ID, shared across runs
+	wordOf map[int32]string // ID -> joined word, shared across runs
+	log    []string         // joined words in ask order, this run
 }
 
-func (k *keyRecorder) MemberKeyed(w []string, key string) (bool, error) {
-	k.got[strings.Join(w, "\x00")] = key
-	return k.Member(w)
-}
-
-func (k *keyRecorder) MemberBatchKeyed(words [][]string, keys []string) ([]bool, error) {
-	if !k.batch {
-		// Hide the batch seam: a non-batch run answers serially through
-		// the SerialAdapter instead.
-		return nil, errors.New("keyRecorder: batch disabled")
+func (r *idRecorder) MemberID(w []string, id int32) (bool, error) {
+	joined := strings.Join(w, "\x00")
+	if prev, ok := r.idOf[joined]; ok && prev != id {
+		r.t.Errorf("word %q delivered as ID %d, earlier as %d", joined, id, prev)
 	}
+	if prev, ok := r.wordOf[id]; ok && prev != joined {
+		r.t.Errorf("ID %d delivered for %q, earlier for %q", id, joined, prev)
+	}
+	r.idOf[joined], r.wordOf[id] = id, joined
+	if got := r.words.Intern(w); got != id {
+		r.t.Errorf("Intern(%q) mid-learn = %d, learner passed %d", joined, got, id)
+	}
+	for _, a := range alphabet {
+		r.words.Intern(append(slices.Clip(w), a))
+	}
+	r.log = append(r.log, joined)
+	return r.Member(w)
+}
+
+// idBatchRecorder adds the batch half of the ID seam.
+type idBatchRecorder struct{ *idRecorder }
+
+func (r idBatchRecorder) MemberBatchID(words [][]string, ids []int32) ([]bool, error) {
 	out := make([]bool, len(words))
 	for i, w := range words {
-		k.got[strings.Join(w, "\x00")] = keys[i]
-		v, err := k.Member(w)
+		v, err := r.MemberID(w, ids[i])
 		if err != nil {
 			return nil, err
 		}
@@ -139,42 +151,45 @@ func (k *keyRecorder) MemberBatchKeyed(words [][]string, keys []string) ([]bool,
 	return out, nil
 }
 
-// TestKeyedBatchKeysRoundTrip learns one target twice — serially
-// through a keyed teacher, and through the keyed batch seam — and
-// checks that every key delivered on either path is exactly the
-// documented strings.Join(word, "\x00"), that the batch blob-sliced
-// keys are bytewise equal to the serial per-ask keys, and that the
-// dialogue (the learned DFA and the interaction counts) is unchanged
-// between the two protocols.
-func TestKeyedBatchKeysRoundTrip(t *testing.T) {
+// TestWordIDsAgainstStringJoinOracle learns one target three times on
+// one Words — serially through MemberID, through the MemberBatchID
+// seam, and with LearnKV — and checks the IDs against the string-join
+// oracle: distinct joined words get distinct IDs, a word keeps its ID
+// across the runs, Intern from outside Learn returns the learner's ID,
+// and the serial and batched dialogues are identical, question for
+// question. A Words over another alphabet is rejected.
+func TestWordIDsAgainstStringJoinOracle(t *testing.T) {
 	target := pathre.Compile(pathre.MustParsePath("/site/regions//item"), alphabet)
+	words := NewWords(nil, alphabet)
+	defer words.Release()
+	idOf, wordOf := map[string]int32{}, map[int32]string{}
+	rec := func() *idRecorder {
+		return &idRecorder{perfectTeacher: perfectTeacher{target}, t: t, words: words, idOf: idOf, wordOf: wordOf}
+	}
 
-	serial := &keyRecorder{perfectTeacher: perfectTeacher{target}, got: map[string]string{}}
-	dSerial, stSerial, err := Learn(alphabet, SerialAdapter{T: serial})
+	serial := rec()
+	dSerial, stSerial, err := Learn(alphabet, serial, WithWords(words))
 	if err != nil {
 		t.Fatalf("serial Learn: %v", err)
 	}
-
-	batched := &keyRecorder{perfectTeacher: perfectTeacher{target}, batch: true, got: map[string]string{}}
-	dBatched, stBatched, err := Learn(alphabet, batched)
+	batched := rec()
+	dBatched, stBatched, err := Learn(alphabet, idBatchRecorder{batched}, WithWords(words))
 	if err != nil {
 		t.Fatalf("batched Learn: %v", err)
 	}
-
-	for name, rec := range map[string]*keyRecorder{"serial": serial, "batched": batched} {
-		if len(rec.got) == 0 {
-			t.Fatalf("%s: no keyed queries recorded", name)
-		}
-		for joined, key := range rec.got {
-			if key != joined {
-				t.Errorf("%s: key %q delivered for word joining to %q", name, key, joined)
-			}
-		}
+	if stSerial.BatchRounds != 0 || stBatched.BatchRounds == 0 {
+		t.Fatalf("batch rounds serial=%d batched=%d: the runs did not take their seams", stSerial.BatchRounds, stBatched.BatchRounds)
 	}
-	for joined, key := range batched.got {
-		if sk, ok := serial.got[joined]; ok && sk != key {
-			t.Errorf("batch key %q != serial key %q for the same word", key, sk)
-		}
+	kv := rec()
+	if _, _, err := LearnKV(alphabet, kv, WithWords(words)); err != nil {
+		t.Fatalf("LearnKV: %v", err)
+	}
+	if len(kv.log) == 0 {
+		t.Fatal("LearnKV asked nothing through MemberID")
+	}
+
+	if !slices.Equal(serial.log, batched.log) {
+		t.Fatalf("dialogues differ: serial asked %d words, batched %d", len(serial.log), len(batched.log))
 	}
 	if w, diff := dSerial.Distinguish(dBatched); diff {
 		t.Fatalf("serial and batched learned different languages, witness %v", w)
@@ -184,5 +199,80 @@ func TestKeyedBatchKeysRoundTrip(t *testing.T) {
 		t.Fatalf("dialogue diverged: serial %d MQ / %d EQ, batched %d MQ / %d EQ",
 			stSerial.MembershipQueries, stSerial.EquivalenceQueries,
 			stBatched.MembershipQueries, stBatched.EquivalenceQueries)
+	}
+	for joined, id := range idOf {
+		var w []string
+		if joined != "" {
+			w = strings.Split(joined, "\x00")
+		}
+		if got := words.Intern(w); got != id {
+			t.Fatalf("Intern(%q) after Learn = %d, learner passed %d", joined, got, id)
+		}
+	}
+
+	if _, _, err := Learn(alphabet[1:], rec(), WithWords(words)); err == nil {
+		t.Fatal("Learn accepted a Words built over another alphabet")
+	}
+}
+
+// TestPooledScratchPinsNoStrings: after a learner hands its scratch back
+// — a long serial run, a batched run, then a shorter serial run over
+// the same scratch — no string-holding buffer references a string
+// anywhere up to its capacity, and a released Words keeps neither
+// symbol strings nor its symbol table.
+func TestPooledScratchPinsNoStrings(t *testing.T) {
+	sc := new(scratch)
+	check := func(stage string) {
+		t.Helper()
+		for i, s := range sc.wb[:cap(sc.wb)] {
+			if s != "" {
+				t.Fatalf("%s: wb[%d] = %q", stage, i, s)
+			}
+		}
+		for i, s := range sc.wvSyms[:cap(sc.wvSyms)] {
+			if s != "" {
+				t.Fatalf("%s: wvSyms[%d] = %q", stage, i, s)
+			}
+		}
+		for i, w := range sc.wvWords[:cap(sc.wvWords)] {
+			if w != nil {
+				t.Fatalf("%s: wvWords[%d] still references a word", stage, i)
+			}
+		}
+	}
+	long := pathre.Compile(pathre.MustParsePath("/site/regions/(europe|africa)/item/name"), alphabet)
+	short := pathre.Compile(pathre.MustParsePath("/site"), alphabet)
+	if _, _, err := learnWith(sc, alphabet, &perfectTeacher{long}); err != nil {
+		t.Fatal(err)
+	}
+	if cap(sc.wb) == 0 {
+		t.Fatal("serial run wrote no words through wb")
+	}
+	check("serial")
+	if _, _, err := learnWith(sc, alphabet, &batchTeacher{perfectTeacher: perfectTeacher{long}}); err != nil {
+		t.Fatal(err)
+	}
+	if cap(sc.wvSyms) == 0 || cap(sc.wvWords) == 0 {
+		t.Fatal("batched run wrote no wave")
+	}
+	check("batched")
+	if _, _, err := learnWith(sc, alphabet, &perfectTeacher{short}); err != nil {
+		t.Fatal(err)
+	}
+	check("short serial")
+
+	words := NewWords(nil, alphabet)
+	if _, _, err := Learn(alphabet, &perfectTeacher{long}, WithWords(words)); err != nil {
+		t.Fatal(err)
+	}
+	tr := words.tr
+	words.Release()
+	for i, s := range tr.symStr[:cap(tr.symStr)] {
+		if s != "" {
+			t.Fatalf("released Words: symStr[%d] = %q", i, s)
+		}
+	}
+	if tr.tab != nil {
+		t.Fatal("released Words still references its symbol table")
 	}
 }

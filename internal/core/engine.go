@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/angluin"
@@ -37,12 +36,9 @@ type Engine struct {
 	// supplied (bundle-backed sessions intern a document's labels once
 	// across all replicas), a private table otherwise.
 	syms *angluin.SymbolTable
-	// pathIndex groups instance nodes by their root path; pathKeys is
-	// the deterministic iteration order and pathLabels the decoded
-	// label sequences.
-	pathIndex  map[string][]*xmldoc.Node
-	pathKeys   []string
-	pathLabels map[string][]string
+	// docSym maps a syms ID to the document's label symbol, the edge
+	// label of the index's root-path trie (see rootpaths.go).
+	docSym []int32
 
 	// Batched-protocol state (see batched.go). batch is the teacher's
 	// batch form, set only when Opts.Batched and the teacher implements
@@ -79,15 +75,13 @@ func NewEngine(source *xmldoc.Document, teacher Teacher, opts Options) *Engine {
 
 func newEngine(source *xmldoc.Document, teacher Teacher, opts Options) *Engine {
 	e := &Engine{
-		Source:     source,
-		Teacher:    teacher,
-		Opts:       opts,
-		alphabet:   source.Alphabet(),
-		pathIndex:  map[string][]*xmldoc.Node{},
-		pathLabels: map[string][]string{},
-		mirrors:    map[string]*mirror{},
-		stash:      map[string]*varStash{},
-		boxUsed:    map[string]bool{},
+		Source:   source,
+		Teacher:  teacher,
+		Opts:     opts,
+		alphabet: source.Alphabet(),
+		mirrors:  map[string]*mirror{},
+		stash:    map[string]*varStash{},
+		boxUsed:  map[string]bool{},
 	}
 	if opts.Batched {
 		e.batch, _ = teacher.(BatchTeacher)
@@ -95,6 +89,7 @@ func newEngine(source *xmldoc.Document, teacher Teacher, opts Options) *Engine {
 	if e.syms = opts.SharedSymbols; e.syms == nil {
 		e.syms = angluin.NewSymbolTable(e.alphabet...)
 	}
+	e.docSym = docSyms(e.syms, source, e.alphabet)
 	if g := opts.SharedGraph; g != nil && g.Doc == source && g.Cfg == opts.Graph {
 		// Adopt the shared, immutable data graph: same document, same
 		// enumeration bounds, so the value buckets are identical to what
@@ -110,18 +105,8 @@ func newEngine(source *xmldoc.Document, teacher Teacher, opts Options) *Engine {
 	if ix == nil || ix.Doc() != source {
 		ix = xq.NewIndex(source)
 	}
-	// One index serves the evaluator and the root-path table, whose
-	// walk visits nodes in document order (attributes first, then
-	// children). The node slices stay index-owned; the full-slice
-	// expression keeps a stray append from ever writing into them.
+	// One index serves the evaluator and the root-path table.
 	e.eval = xq.NewEvaluatorWithIndex(ix)
-	ix.RootPaths(func(labels []string, nodes []*xmldoc.Node) {
-		k := pathKey(labels)
-		e.pathKeys = append(e.pathKeys, k)
-		e.pathLabels[k] = labels
-		e.pathIndex[k] = nodes[:len(nodes):len(nodes)]
-	})
-	sort.Strings(e.pathKeys)
 	return e
 }
 
@@ -149,10 +134,12 @@ type fragment struct {
 }
 
 // Learn runs a full session: template, skeleton, LEARN-X1*+ traversal,
-// and assembly of the final XQ-Tree. The context is threaded through
-// every membership query, equivalence query, and evaluator call;
-// canceling it aborts the session promptly with an error matching
-// errors.Is(err, context.Canceled).
+// and assembly of the final XQ-Tree. The context is checked once per
+// membership wave and before every question that reaches the teacher,
+// and threaded through every evaluator call; canceling it aborts the
+// session promptly with an error matching
+// errors.Is(err, context.Canceled). Answers the R1/R2 rules produce
+// locally are not checked individually.
 func (e *Engine) Learn(ctx context.Context, spec *TaskSpec) (*xq.Tree, *Stats, error) {
 	if len(spec.Drops) == 0 {
 		return nil, nil, fmt.Errorf("core: no dropped examples")
@@ -560,10 +547,11 @@ func predMentions(p *xq.Pred, v string) bool {
 // nodesAccepted returns the instance nodes whose root path the DFA
 // accepts, in document order.
 func (e *Engine) nodesAccepted(d *pathre.DFA) []*xmldoc.Node {
+	ix := e.eval.Index()
 	var out []*xmldoc.Node
-	for _, k := range e.pathKeys {
-		if d.Accepts(e.pathLabels[k]) {
-			out = append(out, e.pathIndex[k]...)
+	for _, g := range ix.SortedRootPaths() {
+		if d.Accepts(ix.RootPathLabels(g)) {
+			out = append(out, ix.RootPathNodes(g)...)
 		}
 	}
 	sortByID(out)
@@ -650,9 +638,8 @@ func (e *Engine) minimizeConds(ctx context.Context, tree *xq.Tree, f *fragment, 
 // unconstrained region; the intersection is exactly the set of paths
 // the user actually confirmed, and it renders as a readable expression.
 func (e *Engine) trimDFA(d *pathre.DFA) *pathre.DFA {
-	// The engine's path table came from this index's walk, so the
-	// index's cached realized-path DFA is word-for-word the same
-	// construction over the same sorted keys.
+	// The engine's path table is this index's, so the index's cached
+	// realized-path DFA accepts exactly its paths.
 	return d.Intersect(e.eval.Index().RealizedPathsDFA())
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -16,7 +17,7 @@ import (
 
 // provenance records where a cached membership answer came from; R2
 // answers are heuristic and may be retracted (Section 8).
-type provenance int
+type provenance uint8
 
 const (
 	provAsked     provenance = iota // the user answered
@@ -27,10 +28,11 @@ const (
 	provCorrected                   // flipped after an inconsistency
 )
 
+// pans is one answer-cache cell, indexed by word ID; the zero value is
+// an unanswered word.
 type pans struct {
-	ans  bool
-	prov provenance
-	node *xmldoc.Node
+	known, ans bool
+	prov       provenance
 }
 
 // r2mode is the state machine of rule R2: Active (defaults N unless the
@@ -58,7 +60,7 @@ func (e restartErr) Error() string { return "core: restart L*: " + e.reason }
 // pLearner learns one fragment: the path DFA (P-Learner) interleaved
 // with condition learning (C-Learner) and explicit Condition Boxes.
 type pLearner struct {
-	ctx     context.Context // the session context, checked at every MQ/EQ
+	ctx     context.Context // the session context, checked per wave and at every asked MQ/EQ
 	eng     *Engine
 	frag    FragmentRef
 	pinCtx  map[string]*xmldoc.Node // pins for teacher extent queries
@@ -67,7 +69,13 @@ type pLearner struct {
 	example     *xmldoc.Node // the dropped node
 	stripLevels int          // 1 for a 1-labeled pair, else 0
 
-	cache     map[string]pans
+	// words is the word trie every L* restart of this fragment runs on
+	// (angluin.WithWords); cache is the answer cache and groups the
+	// root-path groups, both indexed by its word IDs.
+	words     *angluin.Words
+	cache     []pans
+	groups    pathGroups
+	waveAns   []bool // reused MemberBatchID answer buffer
 	r2        r2mode
 	lastTag   string
 	clearner  *cLearner
@@ -83,12 +91,12 @@ type pLearner struct {
 	structural bool
 	relAnchor  *xmldoc.Node
 
-	// hypDFA/hypKeys cache the instance path keys the current hypothesis
+	// hypDFA/hypPaths cache the index root paths the current hypothesis
 	// DFA accepts. The EQ loop re-materializes the hypothesis extent for
 	// the same DFA every condition-refinement iteration; acceptance
 	// depends only on the DFA, so it is computed once per hypothesis.
-	hypDFA  *pathre.DFA
-	hypKeys []string
+	hypDFA   *pathre.DFA
+	hypPaths []int32
 
 	// mirror is the fragment context's prefetched truth knowledge under
 	// the batched protocol (nil serially); see batched.go.
@@ -98,16 +106,15 @@ type pLearner struct {
 	stats   *FragmentStats
 }
 
-func pathKey(w []string) string { return strings.Join(w, "\x00") }
-
 func newPLearner(ctx context.Context, eng *Engine, frag FragmentRef, pinCtx, condCtx map[string]*xmldoc.Node,
 	example *xmldoc.Node, strip int, stats *FragmentStats) *pLearner {
+	words := angluin.NewWords(eng.syms, eng.alphabet)
 	p := &pLearner{
 		ctx: ctx, eng: eng, frag: frag, pinCtx: pinCtx, condCtx: condCtx,
 		example: example, stripLevels: strip,
-		// Presized: without the reduction rules the cache holds one
-		// entry per candidate word and rehash copies dominate profiles.
-		cache: make(map[string]pans, 1<<10), stats: stats,
+		words:    words,
+		groups:   pathGroups{ix: eng.eval.Index(), docSym: eng.docSym, words: words},
+		stats:    stats,
 		clearner: newCLearner(eng.graph, condCtx, frag.AnchorVar),
 	}
 	ep := example.Path()
@@ -122,9 +129,25 @@ func newPLearner(ctx context.Context, eng *Engine, frag FragmentRef, pinCtx, con
 		}
 	}
 	p.structural = p.relAnchor != nil
-	p.cache[pathKey(ep)] = pans{ans: true, prov: provDrop, node: example}
+	p.put(words.Intern(ep), true, provDrop)
 	p.addPositive(example)
 	return p
+}
+
+// answer returns word id's cached answer (zero when unanswered).
+func (p *pLearner) answer(id int32) pans {
+	if int(id) < len(p.cache) {
+		return p.cache[id]
+	}
+	return pans{}
+}
+
+// put caches an answer for word id.
+func (p *pLearner) put(id int32, ans bool, prov provenance) {
+	if n := int(id) + 1; n > len(p.cache) {
+		p.cache = append(p.cache, make([]pans, n-len(p.cache))...)
+	}
+	p.cache[id] = pans{known: true, ans: ans, prov: prov}
 }
 
 // anchor maps an extent node to the node its conditions live on (the
@@ -168,26 +191,17 @@ func (p *pLearner) condsHold(n *xmldoc.Node) bool {
 	return true
 }
 
-// Member implements the L* membership oracle with the rule pipeline:
-// cache → R1 → R2 → ask the user about a representative node. The
-// session context is checked before every query, so a cancellation
-// aborts the learner at the next MQ boundary.
-func (p *pLearner) Member(w []string) (bool, error) {
-	return p.memberKeyed(w, pathKey(w))
-}
-
-// memberKeyed is Member with the word's pathKey pre-joined — the
-// angluin.KeyedTeacher fast path. The learner interns the key anyway,
-// so taking it here removes one join per membership query (and the
-// cache insert below reuses the same string).
-func (p *pLearner) memberKeyed(w []string, k string) (bool, error) {
-	if err := ctxErr(p.ctx); err != nil {
-		return false, err
-	}
-	if a, ok := p.cache[k]; ok {
+// memberID implements the L* membership oracle for word w with ID id in
+// p.words, with the rule pipeline: cache → R1 → R2 → ask the user about
+// a representative node. Auto-answers cost no context check; the
+// session context is checked once per wave (memberBatchID) and before
+// every question that reaches the user, so a cancellation aborts the
+// learner at the next asked MQ.
+func (p *pLearner) memberID(w []string, id int32) (bool, error) {
+	if a := p.answer(id); a.known {
 		return a.ans, nil
 	}
-	nodes := p.eng.pathIndex[k]
+	nodes := p.groups.nodes(id)
 	r1 := p.eng.Opts.R1 && p.r1Applicable(w, nodes)
 	r2 := p.r2 == r2Active && len(w) > 0 && w[len(w)-1] != p.lastTag
 	if r1 || r2 {
@@ -205,15 +219,18 @@ func (p *pLearner) memberKeyed(w []string, k string) (bool, error) {
 		if !r1 {
 			prov = provR2
 		}
-		p.cache[k] = pans{ans: false, prov: prov}
+		p.put(id, false, prov)
 		return false, nil
+	}
+	if err := ctxErr(p.ctx); err != nil {
+		return false, err
 	}
 	// Ask the user. With no node at this path the user still has to
 	// dismiss the query (counts as an interaction; this is what R1
 	// eliminates).
 	if len(nodes) == 0 {
 		p.stats.MQ++
-		p.cache[k] = pans{ans: false, prov: provAsked}
+		p.put(id, false, provAsked)
 		return false, nil
 	}
 	m := nodes[0]
@@ -228,26 +245,31 @@ func (p *pLearner) memberKeyed(w []string, k string) (bool, error) {
 		return false, fmt.Errorf("core: fragment %s: membership query: %w", p.frag.Var, err)
 	}
 	p.stats.MQ++
-	p.cache[k] = pans{ans: ans, prov: provAsked, node: m}
+	p.put(id, ans, provAsked)
 	if ans {
 		p.addPositive(m)
 	}
 	return ans, nil
 }
 
-// memberBatchKeyed answers one learner query set in index order through
+// memberBatchID answers one learner query set in index order through
 // the single-query pipeline, so the committed dialogue equals the serial
 // one; under the batched protocol askMember serves every asked question
-// from the fragment mirror.
-func (p *pLearner) memberBatchKeyed(words [][]string, keys []string) ([]bool, error) {
-	out := make([]bool, len(words))
+// from the fragment mirror. The answer slice is reused across waves:
+// the learner commits it before asking again.
+func (p *pLearner) memberBatchID(words [][]string, ids []int32) ([]bool, error) {
+	if err := ctxErr(p.ctx); err != nil {
+		return nil, err
+	}
+	out := p.waveAns[:0]
 	for i := range words {
-		v, err := p.memberKeyed(words[i], keys[i])
+		v, err := p.memberID(words[i], ids[i])
 		if err != nil {
 			return nil, err
 		}
-		out[i] = v
+		out = append(out, v)
 	}
+	p.waveAns = out
 	return out, nil
 }
 
@@ -269,9 +291,9 @@ func (p *pLearner) r1Applicable(w []string, nodes []*xmldoc.Node) bool {
 // same root path as n (evidence that the path language is right and a
 // value condition is missing).
 func (p *pLearner) positiveSharesPath(n *xmldoc.Node) bool {
-	k := pathKey(n.Path())
+	w := n.Path()
 	for _, q := range p.positives {
-		if pathKey(q.Path()) == k {
+		if slices.Equal(q.Path(), w) {
 			return true
 		}
 	}
@@ -305,19 +327,19 @@ func (p *pLearner) positivesShareRelPath(ctxNode *xmldoc.Node, steps []string, p
 // conditions) denotes: every instance node whose path the DFA accepts
 // and whose anchor satisfies the conditions.
 func (p *pLearner) hypothesisExtent(h *pathre.DFA) []*xmldoc.Node {
+	ix := p.eng.eval.Index()
 	if p.hypDFA != h {
 		p.hypDFA = h
-		p.hypKeys = p.hypKeys[:0]
-		for _, k := range p.eng.pathKeys {
-			if h.Accepts(p.eng.pathLabels[k]) {
-				p.hypKeys = append(p.hypKeys, k)
+		p.hypPaths = p.hypPaths[:0]
+		for _, g := range ix.SortedRootPaths() {
+			if h.Accepts(ix.RootPathLabels(g)) {
+				p.hypPaths = append(p.hypPaths, g)
 			}
 		}
 	}
-	ix := p.eng.eval.Index()
 	var out []*xmldoc.Node
-	for _, k := range p.hypKeys {
-		for _, n := range p.eng.pathIndex[k] {
+	for _, g := range p.hypPaths {
+		for _, n := range ix.RootPathNodes(g) {
 			if p.structural && !ix.Ancestor(p.relAnchor, n) {
 				continue
 			}
@@ -406,30 +428,30 @@ func (p *pLearner) processPositive(h *pathre.DFA, ce *xmldoc.Node) ([]string, er
 		// Section 8, rule R2: a positive counterexample whose last tag
 		// differs from the dropped example's refutes the last-tag
 		// assumption — discard the heuristic answers and relax.
-		return nil, p.backtrackR2(w, ce)
+		return nil, p.backtrackR2(w)
 	}
 	if h.Accepts(w) {
 		return nil, nil // condition-side counterexample only
 	}
-	k := pathKey(w)
-	if a, ok := p.cache[k]; ok && !a.ans {
+	id := p.words.Intern(w)
+	if a := p.answer(id); a.known && !a.ans {
 		// The table holds a wrong No for this path: correct and restart.
-		p.cache[k] = pans{ans: true, prov: provCorrected, node: ce}
+		p.put(id, true, provCorrected)
 		return nil, restartErr{reason: "corrected membership answer for " + strings.Join(w, "/")}
 	}
-	p.cache[k] = pans{ans: true, prov: provCE, node: ce}
+	p.put(id, true, provCE)
 	return w, nil
 }
 
 // backtrackR2 implements R2's backtracking: discard every heuristic
 // answer and relax the last-tag assumption, then restart L*.
-func (p *pLearner) backtrackR2(w []string, ce *xmldoc.Node) error {
-	for k, a := range p.cache {
-		if a.prov == provR2 {
-			delete(p.cache, k)
+func (p *pLearner) backtrackR2(w []string) error {
+	for i, a := range p.cache {
+		if a.known && a.prov == provR2 {
+			p.cache[i] = pans{}
 		}
 	}
-	p.cache[pathKey(w)] = pans{ans: true, prov: provCorrected, node: ce}
+	p.put(p.words.Intern(w), true, provCorrected)
 	p.r2 = r2AnyTag
 	return restartErr{reason: "R2 backtrack: positive counterexample ends with " + w[len(w)-1]}
 }
@@ -461,7 +483,7 @@ func (p *pLearner) processNegative(h *pathre.DFA, ce *xmldoc.Node) (bool, error)
 	if p.r2 == r2AnyTag {
 		p.r2 = r2Off // negative counterexample under the relaxed assumption
 	}
-	p.cache[pathKey(ce.Path())] = pans{ans: false, prov: provCE, node: ce}
+	p.put(p.words.Intern(ce.Path()), false, provCE)
 	return false, nil
 }
 
@@ -520,8 +542,11 @@ func (p *pLearner) applyBoxes(entries []BoxEntry, ce *xmldoc.Node) error {
 // run drives L* (with restarts after corrections) and returns the
 // learned path DFA. A restartErr from the oracle callbacks rebuilds the
 // observation table (the cache replays every answered query, so no user
-// interaction is repeated); any other error is final.
+// interaction is repeated); any other error is final. Every restart runs
+// on p.words, so cached answers stay keyed by the IDs the learner
+// passes; run releases the words when it returns.
 func (p *pLearner) run() (*pathre.DFA, error) {
+	defer p.words.Release()
 	const maxRestarts = 64
 	for attempt := 0; ; attempt++ {
 		learn := angluin.Learn
@@ -531,7 +556,7 @@ func (p *pLearner) run() (*pathre.DFA, error) {
 		d, stats, err := learn(p.eng.alphabet, teacherAdapter{p},
 			angluin.WithInitialExample(p.example.Path()),
 			angluin.WithMaxEquivalenceQueries(p.eng.Opts.MaxEQ),
-			angluin.WithSymbolTable(p.eng.syms))
+			angluin.WithWords(p.words))
 		// Fold the learner's transport bookkeeping into the session's
 		// (every attempt's work counts, restarts included); the dialogue
 		// counters live in FragmentStats and are charged by the oracle
@@ -554,26 +579,22 @@ func (p *pLearner) run() (*pathre.DFA, error) {
 	}
 }
 
-// teacherAdapter exposes the pLearner as an angluin.Teacher — plus its
-// KeyedTeacher extension (pathKey and the learner's word key are the
-// same "\x00" join, so the learner-materialized key is used verbatim),
-// and the batch seam (query sets, committed by index).
+// teacherAdapter exposes the pLearner as an angluin.Teacher over the ID
+// seam: the learner runs on p.words, so the IDs it passes index the
+// answer cache and the path groups directly. Member (the plain Teacher
+// form, which the learner never uses once it sees MemberID) interns the
+// word itself.
 type teacherAdapter struct{ p *pLearner }
 
-func (t teacherAdapter) Member(w []string) (bool, error) { return t.p.Member(w) }
-func (t teacherAdapter) MemberKeyed(w []string, k string) (bool, error) {
-	return t.p.memberKeyed(w, k)
+func (t teacherAdapter) Member(w []string) (bool, error) {
+	return t.p.memberID(w, t.p.words.Intern(w))
+}
+func (t teacherAdapter) MemberID(w []string, id int32) (bool, error) {
+	return t.p.memberID(w, id)
+}
+func (t teacherAdapter) MemberBatchID(words [][]string, ids []int32) ([]bool, error) {
+	return t.p.memberBatchID(words, ids)
 }
 func (t teacherAdapter) Equivalent(h *pathre.DFA) ([]string, bool, error) {
 	return t.p.Equivalent(h)
-}
-func (t teacherAdapter) MemberBatch(words [][]string) ([]bool, error) {
-	keys := make([]string, len(words))
-	for i, w := range words {
-		keys[i] = pathKey(w)
-	}
-	return t.p.memberBatchKeyed(words, keys)
-}
-func (t teacherAdapter) MemberBatchKeyed(words [][]string, keys []string) ([]bool, error) {
-	return t.p.memberBatchKeyed(words, keys)
 }

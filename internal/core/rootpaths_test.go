@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -95,6 +96,63 @@ func TestRootPathTableMatchesWalk(t *testing.T) {
 			}
 			if len(labels) != len(wantLabels) || len(nodes) != len(wantNodes) {
 				t.Fatalf("table sizes labels=%d nodes=%d, want %d/%d", len(labels), len(nodes), len(wantLabels), len(wantNodes))
+			}
+		})
+	}
+}
+
+// TestRootPathGroupsMatchPathIndex pins the learner's root-path lookup
+// by word ID to the string-keyed table it replaced (the walk oracle,
+// keyed by "\x00"-joined labels), on every registered scenario
+// document: every realized path, every one-symbol extension of one by
+// an alphabet label or an unknown label, and ε, interned into one
+// engine Words in shuffled order so the per-ID memo is filled child
+// before parent as often as parent before child.
+func TestRootPathGroupsMatchPathIndex(t *testing.T) {
+	docs := map[string]*xmldoc.Document{}
+	seen := map[string]bool{}
+	for _, s := range append(append(xmark.Scenarios(), xmp.Scenarios()...), ucr.Scenarios()...) {
+		d := s.Doc()
+		if text := xmldoc.XMLString(d.DocNode()); !seen[text] {
+			seen[text] = true
+			docs[s.ID] = d
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for name, doc := range docs {
+		t.Run(name, func(t *testing.T) {
+			_, labels, pathIndex := walkRootPaths(doc)
+			alphabet := doc.Alphabet()
+			words := [][]string{nil}
+			for _, w := range labels {
+				words = append(words, w)
+				for _, a := range append(alphabet, "no-such-label") {
+					words = append(words, append(slices.Clip(w), a))
+				}
+			}
+			rng.Shuffle(len(words), func(i, j int) { words[i], words[j] = words[j], words[i] })
+
+			eng := core.New(doc, nil).Engine()
+			trie := core.EngineWords(eng)
+			defer trie.Release()
+			lookup := core.RootPathLookup(eng, trie)
+			ids := make([]int32, len(words))
+			for i, w := range words {
+				ids[i] = trie.Intern(w)
+			}
+			realized := map[int32]bool{}
+			for i, w := range words {
+				want := pathIndex[strings.Join(w, "\x00")]
+				got := lookup(ids[i])
+				if !slices.Equal(got, want) {
+					t.Fatalf("word %q: %d nodes by ID, %d in the string-keyed table", w, len(got), len(want))
+				}
+				if len(want) > 0 {
+					realized[ids[i]] = true
+				}
+			}
+			if len(realized) != len(pathIndex) {
+				t.Fatalf("%d realized words found, table has %d paths", len(realized), len(pathIndex))
 			}
 		})
 	}

@@ -40,3 +40,25 @@ func TestParseStringAllocs(t *testing.T) {
 			perNode, allocs, nodes)
 	}
 }
+
+// TestEscapeAllocs pins the escapers: a string with nothing to escape
+// is returned as is, and one that needs escaping costs only its result
+// (the replacer's byte buffer and the string made from it) — no
+// replacer is built per call.
+func TestEscapeAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		escape func(string) string
+		in     string
+		want   float64
+	}{
+		{"text plain", escapeText, "plain text", 0},
+		{"text escaped", escapeText, `a<b & c>d "q"`, 2},
+		{"attr plain", escapeAttr, "plain value", 0},
+		{"attr escaped", escapeAttr, `a<b & "c">`, 2},
+	} {
+		if got := testing.AllocsPerRun(100, func() { tc.escape(tc.in) }); got > tc.want {
+			t.Errorf("%s: %.0f allocs, want <= %.0f", tc.name, got, tc.want)
+		}
+	}
+}

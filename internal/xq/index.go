@@ -1,8 +1,7 @@
 package xq
 
 import (
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 
 	"repro/internal/pathre"
@@ -59,6 +58,10 @@ type Index struct {
 	// learning session over this document.
 	realizedOnce sync.Once
 	realized     *pathre.DFA
+	// sortedOnce/sorted lazily cache the root path IDs in joined-key
+	// order (see SortedRootPaths).
+	sortedOnce sync.Once
+	sorted     []int32
 }
 
 // dfaCacheMax bounds the shared DFA cache; adversarial query streams
@@ -137,8 +140,8 @@ func NewIndex(doc *xmldoc.Document) *Index {
 			id, ok := ix.pathLookup[edge]
 			if !ok {
 				id = int32(len(ix.paths))
-				labels := make([]string, 0, len(ix.pathLabels(pathID))+1)
-				labels = append(labels, ix.pathLabels(pathID)...)
+				labels := make([]string, 0, len(ix.RootPathLabels(pathID))+1)
+				labels = append(labels, ix.RootPathLabels(pathID)...)
 				labels = append(labels, n.Label())
 				ix.paths = append(ix.paths, rootPath{labels: labels})
 				ix.pathLookup[edge] = id
@@ -161,9 +164,9 @@ func NewIndex(doc *xmldoc.Document) *Index {
 	return ix
 }
 
-// pathLabels returns the label sequence of an interned path ID (nil for
-// the empty path).
-func (ix *Index) pathLabels(id int32) []string {
+// RootPathLabels returns the label sequence of root path id (nil for
+// the empty path). Callers must not mutate the returned slice.
+func (ix *Index) RootPathLabels(id int32) []string {
 	if id < 0 {
 		return nil
 	}
@@ -195,13 +198,46 @@ func (ix *Index) NodesSym(sym int32) []*xmldoc.Node {
 	return ix.byLabel[sym]
 }
 
-// RootPaths calls f for each distinct root label path of the document,
-// in first-seen (document) order, with the path's nodes in document
-// order. Callers must not mutate either slice.
-func (ix *Index) RootPaths(f func(labels []string, nodes []*xmldoc.Node)) {
-	for _, p := range ix.paths {
-		f(p.labels, p.nodes)
+// The root path table is an integer trie: path IDs are dense from 0,
+// and a path extends its parent by one label symbol. -1 stands for the
+// empty path at the document node.
+
+// RootPathChild returns the ID of root path parent (-1 for the empty
+// path) extended by the label with document symbol sym, or -1 when the
+// document has no such path.
+func (ix *Index) RootPathChild(parent, sym int32) int32 {
+	if id, ok := ix.pathLookup[pathEdge{parent: parent, sym: sym}]; ok {
+		return id
 	}
+	return -1
+}
+
+// RootPathNodes returns the nodes at root path id in document order
+// (nil for the empty path). Callers must not mutate the returned slice.
+func (ix *Index) RootPathNodes(id int32) []*xmldoc.Node {
+	if id < 0 {
+		return nil
+	}
+	n := ix.paths[id].nodes
+	return n[:len(n):len(n)]
+}
+
+// SortedRootPaths returns every root path ID ordered by the path's
+// "\x00"-joined label key, computed once. Labels never contain a NUL
+// byte, so comparing label sequences label by label gives exactly the
+// joined-key order without building the keys. Callers must not mutate
+// the returned slice. Safe for concurrent use.
+func (ix *Index) SortedRootPaths() []int32 {
+	ix.sortedOnce.Do(func() {
+		ix.sorted = make([]int32, len(ix.paths))
+		for i := range ix.sorted {
+			ix.sorted[i] = int32(i)
+		}
+		slices.SortFunc(ix.sorted, func(a, b int32) int {
+			return slices.Compare(ix.paths[a].labels, ix.paths[b].labels)
+		})
+	})
+	return ix.sorted
 }
 
 // Columns returns the structure-of-arrays view of the indexed
@@ -211,23 +247,15 @@ func (ix *Index) Columns() *xmldoc.Columns { return ix.cols }
 
 // RealizedPathsDFA returns the DFA accepting exactly the document's
 // realized root label paths, built lazily at most once. The words are
-// fed to the construction sorted by their "\x00"-joined keys — the
-// same order the learning engine sorts its path-key table into — so
-// the automaton, state numbering included, is identical to the
-// per-session build it replaces. Safe for concurrent use.
+// fed to the construction in SortedRootPaths order, so the automaton,
+// state numbering included, is identical to the per-session build over
+// the sorted joined keys it replaces. Safe for concurrent use.
 func (ix *Index) RealizedPathsDFA() *pathre.DFA {
 	ix.realizedOnce.Do(func() {
-		keys := make([]string, len(ix.paths))
-		byKey := make(map[string][]string, len(ix.paths))
-		for i := range ix.paths {
-			k := strings.Join(ix.paths[i].labels, "\x00")
-			keys[i] = k
-			byKey[k] = ix.paths[i].labels
-		}
-		sort.Strings(keys)
-		words := make([][]string, len(keys))
-		for i, k := range keys {
-			words[i] = byKey[k]
+		sorted := ix.SortedRootPaths()
+		words := make([][]string, len(sorted))
+		for i, id := range sorted {
+			words[i] = ix.paths[id].labels
 		}
 		ix.realized = pathre.FromStrings(words, ix.alphabet)
 	})
