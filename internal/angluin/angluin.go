@@ -30,16 +30,16 @@ type Teacher interface {
 	Equivalent(hypothesis *pathre.DFA) (counterexample []string, ok bool, err error)
 }
 
-// IDTeacher is an optional Teacher extension: MemberID is Member with
-// the word's node ID in the learner's word trie — the caller's Words
-// when Learn runs WithWords, else a private trie. A teacher that keeps
-// per-word state indexes it by ID (and, owning the Words, can Intern the
-// words it meets outside the learner to the same IDs), so no word is
-// ever joined into a string key. The word-validity contract is
-// Member's.
+// IDTeacher is an optional Teacher extension: MemberID is Member by the
+// word's node ID in the learner's word trie — the caller's Words when
+// Learn runs WithWords, else a private trie — instead of by its
+// symbols. A teacher that keeps per-word state indexes it by ID (and,
+// owning the Words, can Intern the words it meets outside the learner
+// to the same IDs); one that needs the word reads it through the Words
+// (Parent, Sym, AppendWord), so the learner never builds it.
 type IDTeacher interface {
 	Teacher
-	MemberID(word []string, id int32) (bool, error)
+	MemberID(id int32) (bool, error)
 }
 
 // Stats counts the queries the learner issued. Membership queries are
@@ -201,23 +201,15 @@ type learner struct {
 	// closedness query set was batch-prefetched (see prefill); reset
 	// with the epoch.
 	prefilled int
-	// wb is a scratch buffer for the words handed to the teacher one at
-	// a time (the Teacher contract forbids retaining them).
-	wb []string
-	// Batch-wave scratch, reused across waves (see prefill): wvSyms
-	// flat-stores the wave's words back to back and wvOff records each
-	// word's start, so the per-word slice headers (wvWords) are
-	// materialized only after the flat buffer stops growing. Word slices
-	// carved from wvSyms are only valid for the batch call — exactly the
-	// Teacher word contract.
-	wvSyms  []string
-	wvOff   []int32
-	wvWords [][]string
-	wvWids  []int32
-	// High-water marks of the string-holding scratch: how far this
-	// learner wrote into wb, wvSyms and wvWords, so release clears only
+	// wb is a scratch buffer for the words handed to a plain Teacher one
+	// at a time (the Teacher contract forbids retaining them), and
+	// wbHigh how far this learner wrote into it, so release clears only
 	// that prefix.
-	wbHigh, wvSymsHigh, wvWordsHigh int
+	wb     []string
+	wbHigh int
+	// wvWids is the batch-wave scratch, reused across waves (see
+	// prefill): the IDs of the wave's words.
+	wvWids []int32
 
 	stats Stats
 }
@@ -343,18 +335,21 @@ func (l *learner) member(w []string) (bool, error) {
 	if v := l.ans[id]; v != ansUnknown {
 		return v == ansYes, nil
 	}
-	return l.ask(w, id)
+	return l.ask(id)
 }
 
-// ask puts one membership question to the teacher — by ID when it
-// takes IDs — and records the answer.
-func (l *learner) ask(w []string, id int32) (bool, error) {
+// ask puts one membership question to the teacher and records the
+// answer. An ID teacher gets the ID alone; the word is built from the
+// trie only for a plain Teacher.
+func (l *learner) ask(id int32) (bool, error) {
 	var v bool
 	var err error
 	if l.idt != nil {
-		v, err = l.idt.MemberID(w, id)
+		v, err = l.idt.MemberID(id)
 	} else {
-		v, err = l.teacher.Member(w)
+		l.wb = l.tr.appendWord(l.wb[:0], id)
+		l.wbHigh = max(l.wbHigh, len(l.wb))
+		v, err = l.teacher.Member(l.wb)
 	}
 	if err != nil {
 		return false, err
@@ -370,7 +365,7 @@ func (l *learner) ask(w []string, id int32) (bool, error) {
 // forever: a call after a suffix was added probes just the new columns.
 // A cell's membership lookup walks the suffix symbols from the prefix
 // node — integer steps, no string building — and the concatenated word
-// is materialized only when the teacher actually has to be asked. The
+// is materialized only when a plain Teacher has to be asked. The
 // returned slice aliases the entry's growing buffer — valid until the
 // next row call for the same prefix, which callers never interleave.
 func (l *learner) row(id int32) ([]byte, error) {
@@ -382,9 +377,7 @@ func (l *learner) row(id int32) ([]byte, error) {
 		wid := l.walk(id, l.eSyms[i])
 		v := l.ans[wid]
 		if v == ansUnknown {
-			l.wb = l.tr.appendWord(l.wb[:0], wid)
-			l.wbHigh = max(l.wbHigh, len(l.wb))
-			if _, err := l.ask(l.wb, wid); err != nil {
+			if _, err := l.ask(wid); err != nil {
 				return nil, err
 			}
 			v = l.ans[wid]

@@ -35,11 +35,12 @@ type BatchTeacher interface {
 }
 
 // IDBatchTeacher is the ID form of BatchTeacher (see IDTeacher): the
-// learner passes every word's node ID alongside, at the same index. The
-// ids slice follows the words' validity contract.
+// learner passes each word's node ID only, and the answer slice is
+// indexed like ids. The ids slice is only valid for the duration of the
+// call.
 type IDBatchTeacher interface {
 	IDTeacher
-	MemberBatchID(words [][]string, ids []int32) ([]bool, error)
+	MemberBatchID(ids []int32) ([]bool, error)
 }
 
 // SerialAdapter adapts any single-query Teacher to the batch seam by
@@ -71,31 +72,50 @@ func (a SerialAdapter) MemberBatch(words [][]string) ([]bool, error) {
 // askWave ships one query set to the batch teacher and commits the
 // answers by index: l.ans[wids[i]] = answers[i], one membership-query
 // charge per word, exactly as the serial learner would have charged
-// asking the same cells one at a time.
-func (l *learner) askWave(words [][]string, wids []int32) error {
-	if len(words) == 0 {
+// asking the same cells one at a time. An ID batch teacher gets the IDs
+// alone; only a plain BatchTeacher has the wave's words built for it.
+func (l *learner) askWave(wids []int32) error {
+	if len(wids) == 0 {
 		return nil
 	}
 	var ans []bool
 	var err error
 	if l.idBatch != nil {
-		ans, err = l.idBatch.MemberBatchID(words, wids)
+		ans, err = l.idBatch.MemberBatchID(wids)
 	} else {
-		ans, err = l.batch.MemberBatch(words)
+		ans, err = l.batch.MemberBatch(l.waveWords(wids))
 	}
 	if err != nil {
 		return err
 	}
-	if len(ans) != len(words) {
-		return fmt.Errorf("angluin: batch teacher answered %d of %d queries", len(ans), len(words))
+	if len(ans) != len(wids) {
+		return fmt.Errorf("angluin: batch teacher answered %d of %d queries", len(ans), len(wids))
 	}
 	l.stats.BatchRounds++
-	l.stats.BatchedQueries += len(words)
+	l.stats.BatchedQueries += len(wids)
 	for i, wid := range wids {
 		l.setAns(wid, ans[i])
 		l.stats.MembershipQueries++
 	}
 	return nil
+}
+
+// waveWords materializes a wave's words for a plain BatchTeacher: one
+// flat symbol buffer sized to the wave and one slice header per word,
+// fresh per wave, so nothing the teacher might keep is reused.
+func (l *learner) waveWords(wids []int32) [][]string {
+	n := 0
+	for _, id := range wids {
+		n += int(l.tr.depth[id])
+	}
+	flat := make([]string, 0, n)
+	words := make([][]string, len(wids))
+	for i, id := range wids {
+		start := len(flat)
+		flat = l.tr.appendWord(flat, id)
+		words[i] = flat[start:len(flat):len(flat)]
+	}
+	return words
 }
 
 // prefill emits the query set a pending closedness check needs — every
@@ -114,13 +134,8 @@ func (l *learner) prefill() error {
 		return nil
 	}
 	l.waveEpoch++
-	// Collect into the reused flat scratch: word symbols back to back in
-	// wvSyms, per-word start offsets alongside. Appends may move the flat
-	// buffer, so the per-word headers are carved only after collection
-	// finishes — the whole wave then costs a bounded handful of
-	// allocations (buffer growth) instead of a word slice per query.
-	l.wvSyms = l.wvSyms[:0]
-	l.wvOff = l.wvOff[:0]
+	// The wave is its word IDs, collected into reused scratch: a warm
+	// wave allocates nothing.
 	l.wvWids = l.wvWids[:0]
 	collect := func(id int32) {
 		ent := l.rowEnt(id)
@@ -130,8 +145,6 @@ func (l *learner) prefill() error {
 				continue
 			}
 			l.waveMark[wid] = l.waveEpoch
-			l.wvOff = append(l.wvOff, int32(len(l.wvSyms)))
-			l.wvSyms = l.tr.appendWord(l.wvSyms, wid)
 			l.wvWids = append(l.wvWids, wid)
 		}
 	}
@@ -147,23 +160,5 @@ func (l *learner) prefill() error {
 			collect(eid)
 		}
 	}
-	n := len(l.wvWids)
-	if n == 0 {
-		return nil
-	}
-	words := l.wvWords[:0]
-	if cap(words) < n {
-		words = make([][]string, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		we := int32(len(l.wvSyms))
-		if i+1 < n {
-			we = l.wvOff[i+1]
-		}
-		words = append(words, l.wvSyms[l.wvOff[i]:we:we])
-	}
-	l.wvWords = words
-	l.wvSymsHigh = max(l.wvSymsHigh, len(l.wvSyms))
-	l.wvWordsHigh = max(l.wvWordsHigh, n)
-	return l.askWave(words, l.wvWids)
+	return l.askWave(l.wvWids)
 }

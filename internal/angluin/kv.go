@@ -85,7 +85,7 @@ func (k *kvLearner) member(w []string) (bool, error) {
 	var v bool
 	var err error
 	if k.idt != nil {
-		v, err = k.idt.MemberID(w, id)
+		v, err = k.idt.MemberID(id)
 	} else {
 		v, err = k.teacher.Member(w)
 	}

@@ -19,9 +19,6 @@ type scratch struct {
 	waveMark []uint32
 	s        []int32
 	wb       []string
-	wvSyms   []string
-	wvOff    []int32
-	wvWords  [][]string
 	wvWids   []int32
 }
 
@@ -37,16 +34,14 @@ func (l *learner) adopt(sc *scratch) {
 	l.waveMark = sc.waveMark[:0]
 	l.s = sc.s[:0]
 	l.wb = sc.wb[:0]
-	l.wvSyms = sc.wvSyms[:0]
-	l.wvOff = sc.wvOff[:0]
-	l.wvWords = sc.wvWords[:0]
 	l.wvWids = sc.wvWids[:0]
 }
 
 // release hands the learner's buffers back to the scratch. A pooled
-// scratch pins no strings: the string-holding buffers are cleared up to
-// the high-water mark this learner wrote, and everything past it is
-// still clear from the previous release (or was never written).
+// scratch pins no strings: wb, the one string-holding buffer, is
+// cleared up to the high-water mark this learner wrote, and everything
+// past it is still clear from the previous release (or was never
+// written).
 func (l *learner) release(sc *scratch) {
 	sc.rowOf = l.rowOf
 	sc.rowEnts = l.rowEnts
@@ -55,10 +50,5 @@ func (l *learner) release(sc *scratch) {
 	sc.s = l.s
 	clear(l.wb[:l.wbHigh])
 	sc.wb = l.wb[:0]
-	clear(l.wvSyms[:l.wvSymsHigh])
-	sc.wvSyms = l.wvSyms[:0]
-	sc.wvOff = l.wvOff
-	clear(l.wvWords[:l.wvWordsHigh])
-	sc.wvWords = l.wvWords[:0]
 	sc.wvWids = l.wvWids
 }

@@ -101,13 +101,13 @@ func TestTrieSharedSymbolTable(t *testing.T) {
 	}
 }
 
-// idRecorder is an ID teacher over a caller-owned Words. It checks
-// every ID it is handed against the string-join oracle (one ID per
-// joined word, one joined word per ID, across every Learn sharing the
-// Words), re-interns the word from inside the callback, and interns
-// words the learner has not reached yet — every one-symbol extension of
-// the asked word — so the learner must pick up nodes its owner added
-// mid-learn.
+// idRecorder is an ID teacher over a caller-owned Words. The seam hands
+// it IDs only, so it reads every word back through the Words, checks
+// the ID against the string-join oracle (one ID per joined word, one
+// joined word per ID, across every Learn sharing the Words), re-interns
+// the word from inside the callback, and interns words the learner has
+// not reached yet — every one-symbol extension of the asked word — so
+// the learner must pick up nodes its owner added mid-learn.
 type idRecorder struct {
 	perfectTeacher
 	t      *testing.T
@@ -117,7 +117,8 @@ type idRecorder struct {
 	log    []string         // joined words in ask order, this run
 }
 
-func (r *idRecorder) MemberID(w []string, id int32) (bool, error) {
+func (r *idRecorder) MemberID(id int32) (bool, error) {
+	w := r.words.AppendWord(nil, id)
 	joined := strings.Join(w, "\x00")
 	if prev, ok := r.idOf[joined]; ok && prev != id {
 		r.t.Errorf("word %q delivered as ID %d, earlier as %d", joined, id, prev)
@@ -139,10 +140,10 @@ func (r *idRecorder) MemberID(w []string, id int32) (bool, error) {
 // idBatchRecorder adds the batch half of the ID seam.
 type idBatchRecorder struct{ *idRecorder }
 
-func (r idBatchRecorder) MemberBatchID(words [][]string, ids []int32) ([]bool, error) {
-	out := make([]bool, len(words))
-	for i, w := range words {
-		v, err := r.MemberID(w, ids[i])
+func (r idBatchRecorder) MemberBatchID(ids []int32) ([]bool, error) {
+	out := make([]bool, len(ids))
+	for i, id := range ids {
+		v, err := r.MemberID(id)
 		if err != nil {
 			return nil, err
 		}
@@ -217,8 +218,9 @@ func TestWordIDsAgainstStringJoinOracle(t *testing.T) {
 
 // TestPooledScratchPinsNoStrings: after a learner hands its scratch back
 // — a long serial run, a batched run, then a shorter serial run over
-// the same scratch — no string-holding buffer references a string
-// anywhere up to its capacity, and a released Words keeps neither
+// the same scratch — the word buffer references no string anywhere up
+// to its capacity (a wave is word IDs, and a plain batch teacher's
+// words are built fresh per wave), and a released Words keeps neither
 // symbol strings nor its symbol table.
 func TestPooledScratchPinsNoStrings(t *testing.T) {
 	sc := new(scratch)
@@ -227,16 +229,6 @@ func TestPooledScratchPinsNoStrings(t *testing.T) {
 		for i, s := range sc.wb[:cap(sc.wb)] {
 			if s != "" {
 				t.Fatalf("%s: wb[%d] = %q", stage, i, s)
-			}
-		}
-		for i, s := range sc.wvSyms[:cap(sc.wvSyms)] {
-			if s != "" {
-				t.Fatalf("%s: wvSyms[%d] = %q", stage, i, s)
-			}
-		}
-		for i, w := range sc.wvWords[:cap(sc.wvWords)] {
-			if w != nil {
-				t.Fatalf("%s: wvWords[%d] still references a word", stage, i)
 			}
 		}
 	}
@@ -252,8 +244,8 @@ func TestPooledScratchPinsNoStrings(t *testing.T) {
 	if _, _, err := learnWith(sc, alphabet, &batchTeacher{perfectTeacher: perfectTeacher{long}}); err != nil {
 		t.Fatal(err)
 	}
-	if cap(sc.wvSyms) == 0 || cap(sc.wvWords) == 0 {
-		t.Fatal("batched run wrote no wave")
+	if cap(sc.wvWids) == 0 {
+		t.Fatal("batched run collected no wave")
 	}
 	check("batched")
 	if _, _, err := learnWith(sc, alphabet, &perfectTeacher{short}); err != nil {

@@ -58,6 +58,10 @@ func (w *Words) Parent(id int32) int32 { return w.tr.parent[id] }
 // Sym returns the symbol-table ID of the word's last symbol (-1 for ε).
 func (w *Words) Sym(id int32) int32 { return w.tr.sym[id] }
 
+// AppendWord appends word id's symbols to dst and returns the extended
+// slice: the one way a word crosses back from its ID to strings.
+func (w *Words) AppendWord(dst []string, id int32) []string { return w.tr.appendWord(dst, id) }
+
 // Release returns the trie's arrays to the pool. The Words and every ID
 // it handed out are invalid afterwards. The pooled trie keeps neither
 // symbol strings nor the table: resolve only ever writes symStr below

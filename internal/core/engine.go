@@ -61,6 +61,9 @@ type Engine struct {
 	// obsMu/obsSeq serialize Observe events (see observe.go).
 	obsMu  sync.Mutex
 	obsSeq int
+	// learnedHook, when set (tests only), sees every learned path DFA
+	// before it is trimmed.
+	learnedHook func(*pathre.DFA)
 }
 
 // NewEngine builds an engine for the source document from a resolved
@@ -549,10 +552,8 @@ func predMentions(p *xq.Pred, v string) bool {
 func (e *Engine) nodesAccepted(d *pathre.DFA) []*xmldoc.Node {
 	ix := e.eval.Index()
 	var out []*xmldoc.Node
-	for _, g := range ix.SortedRootPaths() {
-		if d.Accepts(ix.RootPathLabels(g)) {
-			out = append(out, ix.RootPathNodes(g)...)
-		}
+	for _, g := range ix.AcceptedRootPaths(nil, d) {
+		out = append(out, ix.RootPathNodes(g)...)
 	}
 	sortByID(out)
 	return out
@@ -637,10 +638,13 @@ func (e *Engine) minimizeConds(ctx context.Context, tree *xq.Tree, f *fragment, 
 // them), so the L*-minimal automaton folds arbitrary behavior into the
 // unconstrained region; the intersection is exactly the set of paths
 // the user actually confirmed, and it renders as a readable expression.
+// The engine's path table is the index's, so the index's trie walk
+// (xq.Index.TrimDFA) computes exactly that intersection.
 func (e *Engine) trimDFA(d *pathre.DFA) *pathre.DFA {
-	// The engine's path table is this index's, so the index's cached
-	// realized-path DFA accepts exactly its paths.
-	return d.Intersect(e.eval.Index().RealizedPathsDFA())
+	if e.learnedHook != nil {
+		e.learnedHook(d)
+	}
+	return e.eval.Index().TrimDFA(d)
 }
 
 func sameNodes(a, b []*xmldoc.Node) bool {

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"repro/internal/angluin"
+	"repro/internal/pathre"
 	"repro/internal/xmldoc"
 	"repro/internal/xq"
 )
@@ -38,3 +39,7 @@ func RootPathLookup(e *Engine, words *angluin.Words) func(id int32) []*xmldoc.No
 
 // EvalIndex returns the index the engine's evaluator reads.
 func EvalIndex(e *Engine) *xq.Index { return e.eval.Index() }
+
+// ObserveLearnedPaths calls f with every path DFA the engine's fragment
+// learners return, before it is trimmed to the realized paths.
+func ObserveLearnedPaths(e *Engine, f func(*pathre.DFA)) { e.learnedHook = f }

@@ -75,9 +75,11 @@ type pLearner struct {
 	words     *angluin.Words
 	cache     []pans
 	groups    pathGroups
-	waveAns   []bool // reused MemberBatchID answer buffer
+	waveAns   []bool   // reused MemberBatchID answer buffer
+	wordBuf   []string // reused word for the metadata R1 filters
 	r2        r2mode
 	lastTag   string
+	lastSym   int32 // lastTag's symbol-table ID, which R2 compares
 	clearner  *cLearner
 	explicit  []*xq.Pred
 	positives []*xmldoc.Node
@@ -129,7 +131,9 @@ func newPLearner(ctx context.Context, eng *Engine, frag FragmentRef, pinCtx, con
 		}
 	}
 	p.structural = p.relAnchor != nil
-	p.put(words.Intern(ep), true, provDrop)
+	drop := words.Intern(ep)
+	p.lastSym = words.Sym(drop)
+	p.put(drop, true, provDrop)
 	p.addPositive(example)
 	return p
 }
@@ -191,19 +195,20 @@ func (p *pLearner) condsHold(n *xmldoc.Node) bool {
 	return true
 }
 
-// memberID implements the L* membership oracle for word w with ID id in
-// p.words, with the rule pipeline: cache → R1 → R2 → ask the user about
-// a representative node. Auto-answers cost no context check; the
-// session context is checked once per wave (memberBatchID) and before
-// every question that reaches the user, so a cancellation aborts the
-// learner at the next asked MQ.
-func (p *pLearner) memberID(w []string, id int32) (bool, error) {
+// memberID implements the L* membership oracle for the word with ID id
+// in p.words, with the rule pipeline: cache → R1 → R2 → ask the user
+// about a representative node. The rules read the word through its ID:
+// instance R1 is its path group and R2 its last symbol. Auto-answers
+// cost no context check; the session context is checked once per wave
+// (memberBatchID) and before every question that reaches the user, so a
+// cancellation aborts the learner at the next asked MQ.
+func (p *pLearner) memberID(id int32) (bool, error) {
 	if a := p.answer(id); a.known {
 		return a.ans, nil
 	}
 	nodes := p.groups.nodes(id)
-	r1 := p.eng.Opts.R1 && p.r1Applicable(w, nodes)
-	r2 := p.r2 == r2Active && len(w) > 0 && w[len(w)-1] != p.lastTag
+	r1 := p.eng.Opts.R1 && p.r1Applicable(id, nodes)
+	r2 := p.r2 == r2Active && id != 0 && p.words.Sym(id) != p.lastSym
 	if r1 || r2 {
 		if r1 {
 			p.stats.ReducedR1++
@@ -257,13 +262,13 @@ func (p *pLearner) memberID(w []string, id int32) (bool, error) {
 // one; under the batched protocol askMember serves every asked question
 // from the fragment mirror. The answer slice is reused across waves:
 // the learner commits it before asking again.
-func (p *pLearner) memberBatchID(words [][]string, ids []int32) ([]bool, error) {
+func (p *pLearner) memberBatchID(ids []int32) ([]bool, error) {
 	if err := ctxErr(p.ctx); err != nil {
 		return nil, err
 	}
 	out := p.waveAns[:0]
-	for i := range words {
-		v, err := p.memberID(words[i], ids[i])
+	for _, id := range ids {
+		v, err := p.memberID(id)
 		if err != nil {
 			return nil, err
 		}
@@ -273,16 +278,22 @@ func (p *pLearner) memberBatchID(words [][]string, ids []int32) ([]bool, error) 
 	return out, nil
 }
 
-func (p *pLearner) r1Applicable(w []string, nodes []*xmldoc.Node) bool {
-	if len(w) == 0 {
+// r1Applicable reports whether R1 answers word id: the instance has no
+// node at its path, or, with a metadata filter, the schema admits no
+// such path. Only the metadata filters need the word's labels, built
+// from the trie into a reused buffer.
+func (p *pLearner) r1Applicable(id int32, nodes []*xmldoc.Node) bool {
+	if id == 0 {
 		// The empty path is the document node, never an extent member.
 		return true
 	}
 	if f := p.eng.Opts.R1Filter; f != nil {
-		return !f.AcceptsPath(w)
+		p.wordBuf = p.words.AppendWord(p.wordBuf[:0], id)
+		return !f.AcceptsPath(p.wordBuf)
 	}
-	if p.eng.Opts.SourceDTD != nil {
-		return !p.eng.Opts.SourceDTD.AcceptsPath(w)
+	if d := p.eng.Opts.SourceDTD; d != nil {
+		p.wordBuf = p.words.AppendWord(p.wordBuf[:0], id)
+		return !d.AcceptsPath(p.wordBuf)
 	}
 	return len(nodes) == 0
 }
@@ -330,12 +341,7 @@ func (p *pLearner) hypothesisExtent(h *pathre.DFA) []*xmldoc.Node {
 	ix := p.eng.eval.Index()
 	if p.hypDFA != h {
 		p.hypDFA = h
-		p.hypPaths = p.hypPaths[:0]
-		for _, g := range ix.SortedRootPaths() {
-			if h.Accepts(ix.RootPathLabels(g)) {
-				p.hypPaths = append(p.hypPaths, g)
-			}
-		}
+		p.hypPaths = ix.AcceptedRootPaths(p.hypPaths[:0], h)
 	}
 	var out []*xmldoc.Node
 	for _, g := range p.hypPaths {
@@ -587,13 +593,11 @@ func (p *pLearner) run() (*pathre.DFA, error) {
 type teacherAdapter struct{ p *pLearner }
 
 func (t teacherAdapter) Member(w []string) (bool, error) {
-	return t.p.memberID(w, t.p.words.Intern(w))
+	return t.p.memberID(t.p.words.Intern(w))
 }
-func (t teacherAdapter) MemberID(w []string, id int32) (bool, error) {
-	return t.p.memberID(w, id)
-}
-func (t teacherAdapter) MemberBatchID(words [][]string, ids []int32) ([]bool, error) {
-	return t.p.memberBatchID(words, ids)
+func (t teacherAdapter) MemberID(id int32) (bool, error) { return t.p.memberID(id) }
+func (t teacherAdapter) MemberBatchID(ids []int32) ([]bool, error) {
+	return t.p.memberBatchID(ids)
 }
 func (t teacherAdapter) Equivalent(h *pathre.DFA) ([]string, bool, error) {
 	return t.p.Equivalent(h)

@@ -1,9 +1,9 @@
 package pathre
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -130,7 +130,8 @@ func (d *DFA) ShortestAccepted() ([]string, bool) {
 
 // Minimize returns the minimal DFA for the same language (Moore's
 // partition refinement, adequate for learner-sized automata), with
-// unreachable states removed.
+// unreachable states removed. States are numbered by first occurrence
+// of their block in state order.
 func (d *DFA) Minimize() *DFA {
 	reach := d.reachable()
 	// Map old -> compact reachable index.
@@ -153,18 +154,18 @@ func (d *DFA) Minimize() *DFA {
 		}
 	}
 	numBlocks := 2
-	buf := make([]byte, 0, 64)
+	buf := make([]byte, 0, 4*(len(d.Alphabet)+1))
 	for {
-		// Signature: (block, successor blocks). Block numbers follow
-		// first occurrence in state order, so refinement is
-		// deterministic.
+		// Signature: (block, successor blocks), each a fixed-width
+		// 4-byte word, so equal signatures are equal byte strings. Block
+		// numbers follow first occurrence in state order, so refinement
+		// is deterministic.
 		blockOf := map[string]int{}
 		next := make([]int, n)
 		for i, q := range states {
-			buf = strconv.AppendInt(buf[:0], int64(part[i]), 10)
+			buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(part[i]))
 			for _, nx := range d.Trans[q] {
-				buf = append(buf, ',')
-				buf = strconv.AppendInt(buf, int64(part[idx[nx]]), 10)
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(part[idx[nx]]))
 			}
 			b, ok := blockOf[string(buf)]
 			if !ok {

@@ -259,24 +259,20 @@ func (e *Evaluator) nodeValue(n *xmldoc.Node) Value {
 }
 
 // pathNodesIndexed evaluates a document-rooted binding path through the
-// distinct-root-path table: one DFA run per distinct label path in the
-// instance instead of one DFA step per node. When more than one path
-// group matches, the gathered groups are re-sorted by pre-order clock,
-// which is exactly the naive walk order; a single matching group is
-// already in document order (the index files each group's nodes in
-// walk order), so the re-sort is skipped.
+// distinct-root-path table: one walk of the root-path trie carrying the
+// DFA state (AcceptedRootPaths) instead of one DFA step per node. When
+// more than one path group matches, the gathered groups are re-sorted by
+// pre-order clock, which is exactly the naive walk order; a single
+// matching group is already in document order (the index files each
+// group's nodes in walk order), so the re-sort is skipped.
 func (e *Evaluator) pathNodesIndexed(d *pathre.DFA) []*xmldoc.Node {
 	ix := e.Index()
 	var out []*xmldoc.Node
-	groups := 0
-	for i := range ix.paths {
-		p := &ix.paths[i]
-		if d.Accepts(p.labels) {
-			out = append(out, p.nodes...)
-			groups++
-		}
+	groups := ix.AcceptedRootPaths(nil, d)
+	for _, g := range groups {
+		out = append(out, ix.paths[g].nodes...)
 	}
-	if groups > 1 {
+	if len(groups) > 1 {
 		sort.Slice(out, func(i, j int) bool { return ix.docOrderLess(out[i], out[j]) })
 	}
 	return out

@@ -2,6 +2,7 @@ package xq
 
 import (
 	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/pathre"
@@ -39,6 +40,16 @@ type Index struct {
 	// design.
 	paths      []rootPath
 	pathLookup map[pathEdge]int32
+	// kids lists the child paths of every path, sorted by label, in CSR
+	// form: path p's children (p = -1 for the empty path) are
+	// kids[kidOff[p+1]:kidOff[p+2]]. Sibling labels are distinct, so the
+	// order is also the column order of any DFA over a sorted alphabet
+	// (see pathwalk.go).
+	kidOff []int32
+	kids   []int32
+	// alphaRow maps a document label symbol to its position in alphabet:
+	// the DFA symbol row of every automaton over the index's alphabet.
+	alphaRow []int32
 	// cols is the structure-of-arrays document view the compiled
 	// executor walks, built in the same walk as the clocks above. DFAs
 	// step over it by integer label symbol through the evaluator's
@@ -54,8 +65,7 @@ type Index struct {
 
 	// realizedOnce/realized lazily cache the DFA accepting exactly the
 	// document's realized root label paths (see RealizedPathsDFA) — a
-	// pure function of the path table and alphabet, shared by every
-	// learning session over this document.
+	// pure function of the path table and alphabet.
 	realizedOnce sync.Once
 	realized     *pathre.DFA
 	// sortedOnce/sorted lazily cache the root path IDs in joined-key
@@ -101,6 +111,8 @@ func (ix *Index) dfaFor(key string, p pathre.Expr) *pathre.DFA {
 type rootPath struct {
 	labels []string
 	nodes  []*xmldoc.Node
+	parent int32 // -1 for a path of one label
+	sym    int32 // document symbol of the last label
 }
 
 // pathEdge extends an interned root path (-1 for the empty path at the
@@ -143,7 +155,7 @@ func NewIndex(doc *xmldoc.Document) *Index {
 				labels := make([]string, 0, len(ix.RootPathLabels(pathID))+1)
 				labels = append(labels, ix.RootPathLabels(pathID)...)
 				labels = append(labels, n.Label())
-				ix.paths = append(ix.paths, rootPath{labels: labels})
+				ix.paths = append(ix.paths, rootPath{labels: labels, parent: pathID, sym: sym})
 				ix.pathLookup[edge] = id
 			}
 			ix.paths[id].nodes = append(ix.paths[id].nodes, n)
@@ -161,7 +173,50 @@ func NewIndex(doc *xmldoc.Document) *Index {
 	}
 	walk(doc.DocNode(), -1)
 	ix.cols = cb.Finish()
+	ix.linkRootPaths()
 	return ix
+}
+
+// linkRootPaths builds the label-sorted child lists of the root path
+// trie and the symbol row of the index's own alphabet.
+func (ix *Index) linkRootPaths() {
+	ix.kidOff = make([]int32, len(ix.paths)+2)
+	for _, p := range ix.paths {
+		ix.kidOff[p.parent+2]++
+	}
+	for i := 1; i < len(ix.kidOff); i++ {
+		ix.kidOff[i] += ix.kidOff[i-1]
+	}
+	ix.kids = make([]int32, len(ix.paths))
+	fill := slices.Clone(ix.kidOff)
+	for id, p := range ix.paths {
+		ix.kids[fill[p.parent+1]] = int32(id)
+		fill[p.parent+1]++
+	}
+	for p := 0; p+1 < len(ix.kidOff); p++ {
+		slices.SortFunc(ix.kids[ix.kidOff[p]:ix.kidOff[p+1]], func(a, b int32) int {
+			return strings.Compare(ix.lastLabel(a), ix.lastLabel(b))
+		})
+	}
+	ix.alphaRow = make([]int32, ix.doc.NumSyms())
+	for sym := range ix.alphaRow {
+		ix.alphaRow[sym] = -1
+		if i, ok := slices.BinarySearch(ix.alphabet, ix.doc.LabelOfSym(int32(sym))); ok {
+			ix.alphaRow[sym] = int32(i)
+		}
+	}
+}
+
+// lastLabel returns the last label of root path id.
+func (ix *Index) lastLabel(id int32) string {
+	l := ix.paths[id].labels
+	return l[len(l)-1]
+}
+
+// rootKids returns the child paths of path id (-1 for the empty path),
+// sorted by label.
+func (ix *Index) rootKids(id int32) []int32 {
+	return ix.kids[ix.kidOff[id+1]:ix.kidOff[id+2]]
 }
 
 // RootPathLabels returns the label sequence of root path id (nil for
@@ -246,10 +301,10 @@ func (ix *Index) SortedRootPaths() []int32 {
 func (ix *Index) Columns() *xmldoc.Columns { return ix.cols }
 
 // RealizedPathsDFA returns the DFA accepting exactly the document's
-// realized root label paths, built lazily at most once. The words are
-// fed to the construction in SortedRootPaths order, so the automaton,
-// state numbering included, is identical to the per-session build over
-// the sorted joined keys it replaces. Safe for concurrent use.
+// realized root label paths, built lazily at most once. Learning
+// sessions no longer build it: TrimDFA walks the root-path trie
+// instead, and d.Intersect(RealizedPathsDFA()) is the walk's test
+// oracle. Safe for concurrent use.
 func (ix *Index) RealizedPathsDFA() *pathre.DFA {
 	ix.realizedOnce.Do(func() {
 		sorted := ix.SortedRootPaths()
